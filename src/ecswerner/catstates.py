@@ -63,9 +63,12 @@ class CatParams:
 def cat_params(mean_photon):
     """Compute the scalar bundle (x, N+-, n+-) for a mean photon number.
 
-    Raises ValueError below the ALPHA2_MIN cutoff.
+    Raises ValueError for a non-finite value or one below the ALPHA2_MIN
+    cutoff.
     """
     mean_photon = float(mean_photon)
+    if not math.isfinite(mean_photon):
+        raise ValueError(f"mean photon number must be finite, got {mean_photon!r}")
     if mean_photon < ALPHA2_MIN:
         raise ValueError(
             f"mean photon number {mean_photon!r} below minimum {ALPHA2_MIN:g}; "

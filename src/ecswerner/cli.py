@@ -215,6 +215,8 @@ def build_config(args):
     if not alpha2:
         raise ConfigError("alpha2 list must not be empty")
     for mp in alpha2:
+        if not math.isfinite(mp):
+            raise ConfigError(f"mean photon number must be finite, got {mp!r}")
         if mp < ALPHA2_MIN:
             raise ConfigError(f"mean photon number {mp!r} below minimum {ALPHA2_MIN:g}")
 

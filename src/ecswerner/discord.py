@@ -1,10 +1,12 @@
 """Quantum discord of two-qubit states under projective measurement of Y.
 
 The generic pipeline computes D = I - J from entropies of the joint,
-reduced, and post-measurement conditional states; closed forms are
-provided for the Werner and quasi-Werner families and for the two-level
-einselection benchmark state, and a 1-D minimizer finds the optimal
-measurement angle.
+reduced, and post-measurement conditional states.  One batched kernel
+measures Y at an array of angles at a shared phase; discord_at,
+discord_profile, discord_min and conditional_states are thin wrappers
+over it.  Closed forms are provided for the Werner and quasi-Werner
+families and for the two-level einselection benchmark state, and a 1-D
+minimizer finds the optimal measurement angle.
 """
 
 import math
@@ -25,12 +27,29 @@ from .qmatrix import (
 # Angles used by the runtime check that discord does not depend on the
 # measurement phase (true for every X-form state this library builds).
 PHI_PROBE = (0.0, 0.5, 1.0, 2.0, 3.0)
+PHI_PROBE_THETAS = (0.7, 1.9)
 PHI_SENSITIVITY_TOL = 1e-8
 
 THETA_COARSE_STEPS = 181
 THETA_REFINE_TOL = 1e-8
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _projectors(thetas, phi):
+    """The pair |pi0>, |pi1> of MeasurementBasis for each angle in thetas.
+
+    Shape (n, 2, 2), indexed [angle, outcome j, component].
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    ct, st = np.cos(thetas), np.sin(thetas)
+    e = complex(math.cos(phi), math.sin(phi))
+    vecs = np.empty((thetas.size, 2, 2), dtype=complex)
+    vecs[:, 0, 0] = ct
+    vecs[:, 0, 1] = e * st
+    vecs[:, 1, 0] = st
+    vecs[:, 1, 1] = -e * ct
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -47,11 +66,7 @@ class MeasurementBasis:
     phi: float = 0.0
 
     def projector_vectors(self):
-        ct, st = math.cos(self.theta), math.sin(self.theta)
-        e = complex(math.cos(self.phi), math.sin(self.phi))
-        pi0 = np.array([ct, e * st], dtype=complex)
-        pi1 = np.array([st, -e * ct], dtype=complex)
-        return pi0, pi1
+        return tuple(_projectors(self.theta, self.phi)[0])
 
 
 @dataclass(frozen=True)
@@ -63,36 +78,34 @@ class DiscordResult:
     probabilities: tuple
 
 
-def _conditional_unnormalized(rho, theta, phi):
-    """Unnormalized 2x2 conditional X blocks and their outcome probabilities."""
-    r = rho.reshape(2, 2, 2, 2)
-    out = []
-    for pi in MeasurementBasis(theta, phi).projector_vectors():
-        m = np.einsum("abcd,b,d->ac", r, pi.conj(), pi)
-        out.append((m, float(m[0, 0].real + m[1, 1].real)))
-    return out
+_xlogx = np.vectorize(xlogx, otypes=[float])
 
 
-def _entropy_2x2(m, p):
-    # closed-form spectrum of the Hermitian 2x2 block m, normalized by p
-    tr = m[0, 0].real + m[1, 1].real
-    det = m[0, 0].real * m[1, 1].real - (m[0, 1] * m[1, 0]).real
-    gap = math.sqrt(max(tr * tr / 4.0 - det, 0.0))
-    e0 = min(max((tr / 2.0 + gap) / p, 0.0), 1.0)
-    e1 = min(max((tr / 2.0 - gap) / p, 0.0), 1.0)
-    return -(xlogx(e0) + xlogx(e1))
+def _measure(rho, thetas, phi):
+    """Measure Y on a validated rho at every angle of thetas, phase phi.
 
-
-def _measured_conditional_entropy(rho, theta, phi):
-    """Average post-measurement entropy sum_j P_j S(rho_{X|j}) and the P_j."""
-    total = 0.0
-    probs = []
-    for m, p in _conditional_unnormalized(rho, theta, phi):
-        probs.append(p)
-        if p < DEGENERATE_PROB:
-            continue  # measure-zero branch contributes nothing
-        total += p * _entropy_2x2(m, p)
-    return total, tuple(probs)
+    Returns the unnormalized conditional X blocks, shape (n, 2, 2, 2)
+    indexed [angle, outcome j, row, col]; the outcome probabilities P_j,
+    shape (n, 2); and the measured conditional entropy sum_j P_j S(rho_X|j),
+    shape (n,), from the closed-form spectrum of each Hermitian 2x2 block.
+    A branch with P_j below DEGENERATE_PROB contributes nothing.
+    """
+    vecs = _projectors(thetas, phi)
+    blocks = np.einsum("abcd,njb,njd->njac", rho.reshape(2, 2, 2, 2), vecs.conj(), vecs)
+    m00, m11 = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    m01, m10 = blocks[..., 0, 1], blocks[..., 1, 0]
+    probs = m00 + m11
+    # Re(m01 m10) spelled out: numpy's array complex product can differ
+    # from the scalar one in the last bit
+    det = m00 * m11 - (m01.real * m10.real - m01.imag * m10.imag)
+    gap = np.sqrt(np.maximum(probs * probs / 4.0 - det, 0.0))
+    live = probs >= DEGENERATE_PROB
+    norm = np.where(live, probs, 1.0)
+    e0 = np.clip((probs / 2.0 + gap) / norm, 0.0, 1.0)
+    e1 = np.clip((probs / 2.0 - gap) / norm, 0.0, 1.0)
+    terms = np.where(live, probs * -(_xlogx(e0) + _xlogx(e1)), 0.0)
+    # leading 0.0 keeps a zero entropy from coming out as -0.0
+    return blocks, probs, 0.0 + terms[:, 0] + terms[:, 1]
 
 
 def conditional_states(rho, basis):
@@ -103,13 +116,11 @@ def conditional_states(rho, basis):
     placeholder state and contributes nothing to conditional entropies.
     """
     rho = require_density_matrix(rho, dim=4)
-    out = []
-    for m, p in _conditional_unnormalized(rho, basis.theta, basis.phi):
-        if p < DEGENERATE_PROB:
-            out.append((np.eye(2, dtype=complex) / 2.0, p))
-        else:
-            out.append((m / p, p))
-    return tuple(out)
+    blocks, probs, _ = _measure(rho, basis.theta, basis.phi)
+    return tuple(
+        (m / p, p) if p >= DEGENERATE_PROB else (np.eye(2, dtype=complex) / 2.0, p)
+        for m, p in zip(blocks[0], probs[0].tolist())
+    )
 
 
 def mutual_information(rho):
@@ -129,34 +140,38 @@ def _discord_parts(rho):
     return s_x, s_x + s_y - s_xy
 
 
+def _profile(rho, parts, thetas, phi):
+    s_x, mutual = parts
+    return mutual - (s_x - _measure(rho, thetas, phi)[2])
+
+
+def _result(rho, parts, theta, phi):
+    s_x, mutual = parts
+    _, probs, cond = _measure(rho, theta, phi)
+    classical = s_x - cond[0]
+    return DiscordResult(
+        value=mutual - classical,
+        theta_min=theta,
+        mutual_info=mutual,
+        classical_corr=classical,
+        probabilities=tuple(probs[0].tolist()),
+    )
+
+
 def discord_at(rho, basis):
     """Discord of rho for one fixed measurement basis on Y."""
     rho = require_density_matrix(rho, dim=4)
-    s_x, mutual = _discord_parts(rho)
-    cond, probs = _measured_conditional_entropy(rho, basis.theta, basis.phi)
-    classical = s_x - cond
-    return DiscordResult(
-        value=mutual - classical,
-        theta_min=basis.theta,
-        mutual_info=mutual,
-        classical_corr=classical,
-        probabilities=probs,
-    )
+    return _result(rho, _discord_parts(rho), basis.theta, basis.phi)
 
 
 def discord_profile(rho, thetas, phi=0.0):
     """Discord values over a sequence of measurement angles at a shared phase.
 
-    Same values as discord_at per angle, but validates and decomposes rho
-    once; intended for dense sweeps.
+    Same values as discord_at per angle, from one batched evaluation of
+    the measurement kernel; rho is validated and decomposed once.
     """
     rho = require_density_matrix(rho, dim=4)
-    s_x, mutual = _discord_parts(rho)
-    out = np.empty(len(thetas))
-    for i, theta in enumerate(thetas):
-        cond, _ = _measured_conditional_entropy(rho, theta, phi)
-        out[i] = mutual - (s_x - cond)
-    return out
+    return _profile(rho, _discord_parts(rho), thetas, phi)
 
 
 def _golden_min(f, lo, hi, tol=THETA_REFINE_TOL):
@@ -186,39 +201,25 @@ def discord_min(rho):
     [0, pi] followed by golden-section refinement.
     """
     rho = require_density_matrix(rho, dim=4)
-    s_x, mutual = _discord_parts(rho)
+    parts = _discord_parts(rho)
 
-    def value_at(theta, phi=0.0):
-        cond, _ = _measured_conditional_entropy(rho, theta, phi)
-        return mutual - (s_x - cond)
-
-    for theta in (0.7, 1.9):
-        base = value_at(theta, PHI_PROBE[0])
-        worst = max(abs(value_at(theta, phi) - base) for phi in PHI_PROBE[1:])
-        if worst > PHI_SENSITIVITY_TOL:
-            raise NumericalIntegrityError(
-                f"discord varies with measurement phase by {worst:.3e}; "
-                "input is outside the X-form class this minimizer assumes"
-            )
+    probe = np.array([_profile(rho, parts, PHI_PROBE_THETAS, phi) for phi in PHI_PROBE])
+    worst = float(np.max(np.abs(probe[1:] - probe[0])))
+    if worst > PHI_SENSITIVITY_TOL:
+        raise NumericalIntegrityError(
+            f"discord varies with measurement phase by {worst:.3e}; "
+            "input is outside the X-form class this minimizer assumes"
+        )
 
     grid = np.linspace(0.0, math.pi, THETA_COARSE_STEPS)
-    values = [value_at(t) for t in grid]
+    values = _profile(rho, parts, grid, 0.0)
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    theta_best, val_best = _golden_min(value_at, lo, hi)
+    theta_best, val_best = _golden_min(lambda t: _profile(rho, parts, t, 0.0)[0], lo, hi)
     if values[k] < val_best:
-        theta_best, val_best = float(grid[k]), values[k]
-
-    cond, probs = _measured_conditional_entropy(rho, theta_best, 0.0)
-    classical = s_x - cond
-    return DiscordResult(
-        value=mutual - classical,
-        theta_min=theta_best,
-        mutual_info=mutual,
-        classical_corr=classical,
-        probabilities=probs,
-    )
+        theta_best = float(grid[k])
+    return _result(rho, parts, theta_best, 0.0)
 
 
 def zurek_density(a):

@@ -39,11 +39,6 @@ def _as_square(m, name="matrix"):
     return m
 
 
-def is_hermitian(m, tol=HERMITICITY_TOL):
-    m = _as_square(m)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
-
-
 def require_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
     m = _as_square(m, name)
     defect = float(np.max(np.abs(m - m.conj().T)))

@@ -15,8 +15,7 @@ import numpy as np
 
 from .catstates import StateFamily, cat_params, ecs_concurrence
 from .discord import (
-    MeasurementBasis,
-    discord_at,
+    discord_profile,
     discord_quasi_closed,
     werner_discord_closed,
     zurek_density,
@@ -47,6 +46,10 @@ class Check:
     def line(self):
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name:<42s} max dev {self.deviation:9.3e}  tol {self.tolerance:g}  {status}"
+
+
+def _max_dev(x, y):
+    return float(np.max(np.abs(np.subtract(x, y))))
 
 
 def _all_specs():
@@ -95,10 +98,8 @@ def check_quasi_discord():
             p = cat_params(mp)
             for a in A_GRID:
                 rho = werner_density(WernerSpec(family, float(a), p))
-                for theta in THETA_GRID_19:
-                    closed = discord_quasi_closed(float(a), p, theta)
-                    piped = discord_at(rho, MeasurementBasis(theta)).value
-                    dev = max(dev, abs(closed - piped))
+                closed = [discord_quasi_closed(float(a), p, theta) for theta in THETA_GRID_19]
+                dev = max(dev, _max_dev(closed, discord_profile(rho, THETA_GRID_19)))
     return Check("quasi-Werner discord closed vs pipeline", dev, 1e-9)
 
 
@@ -109,9 +110,8 @@ def check_plus_family_equality():
         for a in A_GRID:
             rho_psi = werner_density(WernerSpec(StateFamily.PSI_PLUS, float(a), p))
             rho_phi = werner_density(WernerSpec(StateFamily.PHI_PLUS, float(a), p))
-            for theta in THETA_GRID_19[::3]:
-                basis = MeasurementBasis(theta, 0.4)
-                dev = max(dev, abs(discord_at(rho_psi, basis).value - discord_at(rho_phi, basis).value))
+            thetas = THETA_GRID_19[::3]
+            dev = max(dev, _max_dev(discord_profile(rho_psi, thetas, 0.4), discord_profile(rho_phi, thetas, 0.4)))
     return Check("psi+ vs phi+ discord equality", dev, 1e-12)
 
 
@@ -122,8 +122,7 @@ def check_werner_discord():
         for a in A_GRID:
             rho = werner_density(WernerSpec(family, float(a), p))
             closed = werner_discord_closed(float(a))
-            for theta in THETA_GRID_19[::2]:
-                dev = max(dev, abs(discord_at(rho, MeasurementBasis(theta, 1.0)).value - closed))
+            dev = max(dev, _max_dev(discord_profile(rho, THETA_GRID_19[::2], 1.0), closed))
     return Check("Werner discord closed vs pipeline", dev, 1e-9)
 
 
@@ -133,10 +132,9 @@ def check_werner_basis_independence():
     for family in MINUS_FAMILIES:
         for a in (0.2, 0.5, 0.9):
             rho = werner_density(WernerSpec(family, a, p))
-            ref = discord_at(rho, MeasurementBasis(0.0)).value
-            for theta in THETA_GRID_19:
-                for phi in (0.0, 1.3, 2.6):
-                    dev = max(dev, abs(discord_at(rho, MeasurementBasis(theta, phi)).value - ref))
+            # the first value is theta = 0, phi = 0: the reference basis
+            values = np.concatenate([discord_profile(rho, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)])
+            dev = max(dev, _max_dev(values, values[0]))
     return Check("Werner discord basis independence", dev, 1e-10)
 
 
@@ -144,9 +142,8 @@ def check_zurek():
     dev = 0.0
     for a in A_GRID:
         rho = zurek_density(float(a))
-        for theta in THETA_GRID_19:
-            piped = discord_at(rho, MeasurementBasis(theta, 1.0)).value
-            dev = max(dev, abs(zurek_discord(float(a), theta) - piped))
+        closed = [zurek_discord(float(a), theta) for theta in THETA_GRID_19]
+        dev = max(dev, _max_dev(closed, discord_profile(rho, THETA_GRID_19, 1.0)))
     return Check("einselection-state discord closed vs pipeline", dev, 1e-9)
 
 
@@ -217,8 +214,7 @@ def check_nonnegativity():
             p = cat_params(mp)
             for a in A_GRID:
                 rho = werner_density(WernerSpec(family, float(a), p))
-                for theta in THETA_GRID_19[::3]:
-                    worst = max(worst, -discord_at(rho, MeasurementBasis(theta)).value)
+                worst = max(worst, -float(discord_profile(rho, THETA_GRID_19[::3]).min()))
     return Check("discord non-negativity", worst, 1e-9)
 
 

@@ -39,6 +39,12 @@ def test_cat_params_below_cutoff():
     cat_params(ALPHA2_MIN)  # boundary is allowed
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cat_params_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        cat_params(value)
+
+
 @pytest.mark.parametrize("mp", MEAN_PHOTON_GRID)
 def test_normalization_identity(mp):
     p = cat_params(mp)

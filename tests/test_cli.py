@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -136,6 +137,26 @@ def test_output_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# sha256 of two small sweeps; any change to the measurement pipeline, the
+# closed forms or the writer that moves one output byte changes them
+GOLDEN_SHA256 = {
+    "quasi-surface": (
+        ["--theta-steps", "37"],
+        "532af1b98e43f49e09c9b15176f5f330274f8521c0e76864c81e6c4a9b7755a7",
+    ),
+    "quasi-curves": ([], "5974db0c9e9bc4e0112f4a1cd5fc85c59f33b6e39449cac966c1c9fbae805eae"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_output_is_byte_identical_to_golden(tmp_path, command):
+    extra, digest = GOLDEN_SHA256[command]
+    out = tmp_path / "golden.csv"
+    argv = [command, "--alpha2", "0.01", "--alpha2", "1", "--alpha2", "5", "--a-steps", "11", *extra]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_json_mirrors_csv(tmp_path):
     csv_out, json_out = tmp_path / "w.csv", tmp_path / "w.json"
     assert main(["werner-curves", "--a-steps", "5", "--out", str(csv_out)]) == 0
@@ -194,6 +215,23 @@ def test_bad_arguments_exit_2(tmp_path):
     assert main(["werner-curves", "--config", str(bad_cfg)]) == 2
     missing = tmp_path / "missing.cfg"
     assert main(["werner-curves", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_mean_photon_exits_2(tmp_path, capsys, value, source):
+    out = tmp_path / "q.csv"
+    argv = ["quasi-surface", "--a-steps", "2", "--theta-steps", "2", "--out", str(out)]
+    if source == "flag":
+        argv.append(f"--alpha2={value}")
+    else:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"alpha2 = 1, {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite" in err
+    assert not out.exists()
 
 
 def test_unwritable_path_exits_3(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecswerner.catstates import StateFamily, cat_params
 from ecswerner.discord import (
@@ -17,7 +19,15 @@ from ecswerner.discord import (
     zurek_density,
     zurek_discord,
 )
-from ecswerner.qmatrix import NumericalIntegrityError, eigvals_hermitian, tensor
+from ecswerner.qmatrix import (
+    DEGENERATE_PROB,
+    NumericalIntegrityError,
+    eigvals_hermitian,
+    partial_trace,
+    tensor,
+    von_neumann_entropy,
+    xlogx,
+)
 from ecswerner.werner import WernerSpec, werner_density
 
 I4 = np.eye(4, dtype=complex) / 4.0
@@ -25,6 +35,7 @@ I4 = np.eye(4, dtype=complex) / 4.0
 A_GRID = np.linspace(0.0, 1.0, 11)
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 THETA_GRID = np.linspace(0.0, math.pi, 19)
+angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 
 # values pinned from the brute-force measurement pipeline before release
 ZUREK_AT_EIGHTH = 0.6008760366928562
@@ -175,11 +186,48 @@ def test_plus_families_have_equal_discord():
             assert abs(d_psi - d_phi) < 1e-12
 
 
-def test_discord_profile_matches_pointwise():
-    rho = quasi(0.35, 0.8)
-    profile = discord_profile(rho, THETA_GRID, phi=0.4)
-    for theta, expected in zip(THETA_GRID, profile):
-        assert abs(discord_at(rho, MeasurementBasis(theta, 0.4)).value - expected) < 1e-14
+@st.composite
+def measured_states(draw):
+    """A Werner, quasi-Werner or einselection-benchmark density matrix."""
+    a = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return zurek_density(a)
+    family = draw(st.sampled_from(list(StateFamily)))
+    return quasi(a, draw(st.floats(1e-3, 20.0)), family)
+
+
+def scalar_reference_discord(rho, theta, phi):
+    """Discord at one basis by the per-angle scalar arithmetic the kernel batches."""
+    c, s = math.cos(theta), math.sin(theta)
+    e = complex(math.cos(phi), math.sin(phi))
+    cond = 0.0
+    for pi in (np.array([c, e * s]), np.array([s, -e * c])):
+        m = np.einsum("abcd,b,d->ac", rho.reshape(2, 2, 2, 2), pi.conj(), pi)
+        p = float(m[0, 0].real + m[1, 1].real)
+        if p < DEGENERATE_PROB:
+            continue
+        det = m[0, 0].real * m[1, 1].real - (m[0, 1] * m[1, 0]).real
+        gap = math.sqrt(max(p * p / 4.0 - det, 0.0))
+        e0 = min(max((p / 2.0 + gap) / p, 0.0), 1.0)
+        e1 = min(max((p / 2.0 - gap) / p, 0.0), 1.0)
+        cond += p * -(xlogx(e0) + xlogx(e1))
+    s_x = von_neumann_entropy(partial_trace(rho, "X"))
+    mutual = s_x + von_neumann_entropy(partial_trace(rho, "Y")) - von_neumann_entropy(rho)
+    return mutual - (s_x - cond)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measured_states(),
+    st.one_of(st.just([]), st.lists(angles, min_size=1, max_size=1), st.lists(angles, max_size=40)),
+    angles,
+)
+def test_discord_profile_matches_pointwise(rho, thetas, phi):
+    # the batched kernel gives every angle exactly the value it gives alone
+    profile = discord_profile(rho, thetas, phi)
+    assert profile.shape == (len(thetas),)
+    assert profile.tolist() == [discord_at(rho, MeasurementBasis(t, phi)).value for t in thetas]
+    assert profile.tolist() == [scalar_reference_discord(rho, t, phi) for t in thetas]
 
 
 # -- discord_min ---------------------------------------------------------------
