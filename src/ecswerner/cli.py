@@ -12,8 +12,10 @@ defaults.  The config file is flat "key = value" text; see README.
 """
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ import numpy as np
 from .catstates import ALPHA2_MIN, StateFamily, cat_params
 from .discord import discord_min, discord_profile, discord_quasi_closed, werner_discord_closed, zurek_discord
 from .entanglement import concurrence_closed, eof
+from .qmatrix import NumericalIntegrityError
 from .verify import run_verification
 from .werner import WernerSpec, werner_density
 
@@ -43,6 +46,32 @@ CONFIG_KEYS = ("a_min", "a_max", "a_steps", "theta_steps", "alpha2", "family", "
 
 class ConfigError(Exception):
     pass
+
+
+class SweepPointError(Exception):
+    """A numerical failure inside a sweep; the message names its (|alpha|^2, a) point."""
+
+
+@contextlib.contextmanager
+def _sweep_point(mp, a_values):
+    """Re-raise a numerical failure in the block as SweepPointError.
+
+    a_values are the mixing parameters of the states the block handles, in
+    stack order.  The message names the a of the failing state when the
+    error carries its index (or the block handles one state), and the
+    block's a range otherwise.
+    """
+    try:
+        yield
+    except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
+        index = getattr(exc, "index", None)
+        if index is None and len(a_values) == 1:
+            index = 0
+        if index is None:
+            where = f"a in [{_fmt(a_values[0])}, {_fmt(a_values[-1])}]"
+        else:
+            where = f"a = {_fmt(a_values[index])}"
+        raise SweepPointError(f"numerical failure at |alpha|^2 = {_fmt(mp)}, {where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -74,8 +103,8 @@ def quasi_surface_rows(cfg):
         p = cat_params(mp)
         for a in cfg.a_grid:
             a = float(a)
-            rho = werner_density(WernerSpec(cfg.family, a, p))
-            piped = discord_profile(rho, cfg.theta_grid)
+            with _sweep_point(mp, [a]):
+                piped = discord_profile(werner_density(WernerSpec(cfg.family, a, p)), cfg.theta_grid)
             at_zero = discord_quasi_closed(a, p, 0.0)
             for theta, d_pipe in zip(cfg.theta_grid, piped):
                 d_closed = discord_quasi_closed(a, p, float(theta))
@@ -103,12 +132,12 @@ def quasi_curves_rows(cfg):
     rows = []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
-        for a in cfg.a_grid:
-            a = float(a)
-            spec = WernerSpec(cfg.family, a, p)
+        specs = [WernerSpec(cfg.family, float(a), p) for a in cfg.a_grid]
+        with _sweep_point(mp, [spec.mixing for spec in specs]):
+            minima = discord_min(np.array([werner_density(spec) for spec in specs]))
+        for spec, res in zip(specs, minima):
             e = eof(concurrence_closed(spec))
-            delta = discord_min(werner_density(spec)).value
-            rows.append((float(mp), a, e, delta, delta - e))
+            rows.append((float(mp), spec.mixing, e, res.value, res.value - e))
     return columns, rows
 
 
@@ -122,16 +151,28 @@ def _fmt(value):
 
 
 def write_rows(path, fmt, columns, rows):
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        records = [dict(zip(columns, row)) for row in rows]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(records, fh, separators=(",", ":"))
-            fh.write("\n")
+    """Write rows to path atomically.
+
+    The data goes to a temporary file in the target directory, which then
+    replaces path; a write that fails leaves an existing file at path
+    untouched and removes the temporary file.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "csv":
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                json.dump([dict(zip(columns, row)) for row in rows], fh, separators=(",", ":"))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +303,16 @@ def run_sweep(args):
         )
         generator = werner_curves_rows
 
-    columns, rows = generator(cfg)
+    try:
+        columns, rows = generator(cfg)
+    except SweepPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     try:
         write_rows(cfg.output_path, cfg.format, columns, rows)
     except OSError as exc:
-        print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+        # strerror alone: the error's file names include the temporary file
+        print(f"error: cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)
         return 3
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     return 0

@@ -22,6 +22,8 @@ TRACE_TOL = 1e-10
 # clamped to 0; anything more negative indicates a construction bug.
 NEG_EIGENVALUE_TOL = 1e-10
 DEGENERATE_PROB = 1e-14
+# xlogx is exactly 0 below this argument (the 0 log 0 = 0 convention)
+XLOGX_FLOOR = 1e-15
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -29,7 +31,15 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class NumericalIntegrityError(ArithmeticError):
-    """Numerical result violates a bound that roundoff alone cannot explain."""
+    """Numerical result violates a bound that roundoff alone cannot explain.
+
+    index, when not None, is the position of the offending state in a
+    stacked input.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 def _as_square(m, name="matrix"):
@@ -156,8 +166,8 @@ def partial_trace(rho, keep):
 
 
 def xlogx(p):
-    """p * log2(p) with the 0 log 0 = 0 convention (exactly 0 below 1e-15)."""
-    if p < 1e-15:
+    """p * log2(p) with the 0 log 0 = 0 convention (exactly 0 below XLOGX_FLOOR)."""
+    if p < XLOGX_FLOOR:
         return 0.0
     return p * math.log2(p)
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ecswerner.cli import main
+from ecswerner import cli
+from ecswerner.cli import main, write_rows
 
 # the verification suite is exercised once (it is a few seconds of grid work)
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -137,22 +138,30 @@ def test_output_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of two small sweeps; any change to the measurement pipeline, the
-# closed forms or the writer that moves one output byte changes them
+# sha256 of small sweeps and of the default-grid quasi-curves output; any
+# change to the measurement pipeline, the minimizer, the closed forms or the
+# writer that moves one output byte changes them
+SMALL_GRID = ["--alpha2", "0.01", "--alpha2", "1", "--alpha2", "5", "--a-steps", "11"]
 GOLDEN_SHA256 = {
     "quasi-surface": (
-        ["--theta-steps", "37"],
+        ["quasi-surface", *SMALL_GRID, "--theta-steps", "37"],
         "532af1b98e43f49e09c9b15176f5f330274f8521c0e76864c81e6c4a9b7755a7",
     ),
-    "quasi-curves": ([], "5974db0c9e9bc4e0112f4a1cd5fc85c59f33b6e39449cac966c1c9fbae805eae"),
+    "quasi-curves": (
+        ["quasi-curves", *SMALL_GRID],
+        "5974db0c9e9bc4e0112f4a1cd5fc85c59f33b6e39449cac966c1c9fbae805eae",
+    ),
+    "quasi-curves-default-grid": (
+        ["quasi-curves"],
+        "8d50f2e25d177720476df71c26b24332e4181872c58c9b9e72105f9ddb26ce32",
+    ),
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_output_is_byte_identical_to_golden(tmp_path, command):
-    extra, digest = GOLDEN_SHA256[command]
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_output_is_byte_identical_to_golden(tmp_path, name):
+    argv, digest = GOLDEN_SHA256[name]
     out = tmp_path / "golden.csv"
-    argv = [command, "--alpha2", "0.01", "--alpha2", "1", "--alpha2", "5", "--a-steps", "11", *extra]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -238,6 +247,67 @@ def test_unwritable_path_exits_3(tmp_path, capsys):
     target = str(tmp_path / "no" / "such" / "dir" / "out.csv")
     assert main(["werner-curves", "--a-steps", "3", "--out", target]) == 3
     assert target in capsys.readouterr().err
+
+
+def test_failed_write_keeps_existing_output(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("old contents\n", encoding="utf-8")
+
+    def rows():
+        yield (0.0, 1.0)
+        raise OSError("disk full")
+
+    for fmt in ("csv", "json"):
+        with pytest.raises(OSError, match="disk full"):
+            write_rows(str(out), fmt, ["a", "b"], rows())
+        assert out.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_replaces_existing_output(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("old contents\n", encoding="utf-8")
+    write_rows(str(out), "csv", ["a", "b"], [(0.5, 1)])
+    assert out.read_text(encoding="utf-8") == "a,b\n0.5,1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def random_state(seed):
+    """A generic (seeded) random state; its discord depends on the phase."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_phase_sensitive_state_in_curves_exits_4(tmp_path, capsys, monkeypatch):
+    # a state whose discord depends on the measurement phase at one point of
+    # the stacked minimization: the message names that point
+    real = cli.werner_density
+
+    def density(spec):
+        return random_state(7) if spec.mixing == 0.75 and spec.params.mean_photon == 5.0 else real(spec)
+
+    monkeypatch.setattr(cli, "werner_density", density)
+    out = tmp_path / "qc.csv"
+    argv = ["quasi-curves", "--alpha2", "1", "--alpha2", "5", "--a-steps", "5", "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: numerical failure at |alpha|^2 = 5, a = 0.75: state 3: discord varies")
+    assert not out.exists()
+
+
+def test_linalg_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch):
+    def failing_profile(rho, thetas):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "discord_profile", failing_profile)
+    out = tmp_path / "qs.csv"
+    assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: numerical failure at |alpha|^2 = 2, a = 0: Eigenvalues did not converge\n"
+    assert not out.exists()
 
 
 def test_verify_passes(capsys):

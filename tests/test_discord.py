@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ecswerner.catstates import StateFamily, cat_params
 from ecswerner.discord import (
     MeasurementBasis,
+    _xlogx,
     conditional_states,
     discord_at,
     discord_min,
@@ -216,6 +217,19 @@ def scalar_reference_discord(rho, theta, phi):
     return mutual - (s_x - cond)
 
 
+xlogx_args = st.one_of(
+    st.floats(-1.0, 2.0),
+    st.floats(0.0, 1e-14),
+    st.sampled_from([0.0, -0.0, 1e-15, 1.0, math.nan, math.inf]),
+)
+
+
+@given(st.lists(xlogx_args, max_size=50))
+def test_array_xlogx_matches_scalar(values):
+    got = _xlogx(np.array(values, dtype=float))
+    assert [v.hex() for v in got.tolist()] == [float(xlogx(v)).hex() for v in values]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     measured_states(),
@@ -260,14 +274,40 @@ def test_min_bounds_every_sampled_basis():
         assert best <= discord_at(rho, MeasurementBasis(theta)).value + 1e-9
 
 
-def test_min_rejects_phase_sensitive_input():
-    # a generic (seeded) random state has phase-dependent discord
-    rng = np.random.default_rng(7)
+def random_state(seed):
+    """A generic (seeded) random state; its discord depends on the phase."""
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    return rho / np.trace(rho).real
+
+
+def test_min_rejects_phase_sensitive_input():
     with pytest.raises(NumericalIntegrityError):
-        discord_min(rho)
+        discord_min(random_state(7))
+
+
+@pytest.mark.parametrize("k", [0, 5, 16, 22])
+def test_stacked_min_names_phase_sensitive_state(k):
+    stack = [quasi(float(a), 0.5) for a in np.linspace(0.0, 1.0, 24)]
+    stack[k] = random_state(7)
+    with pytest.raises(NumericalIntegrityError, match=rf"^state {k}: discord varies") as info:
+        discord_min(np.array(stack))
+    assert info.value.index == k
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(measured_states(), min_size=1, max_size=40))
+def test_stacked_min_matches_per_state(states):
+    # lockstep minimization over a stack (crossing the slice size) gives
+    # every state exactly the result it gets alone
+    stacked = discord_min(np.array(states))
+    assert isinstance(stacked, list)
+    assert stacked == [discord_min(rho) for rho in states]
+
+
+def test_stacked_min_of_empty_stack():
+    assert discord_min(np.zeros((0, 4, 4), dtype=complex)) == []
 
 
 # -- closed forms ---------------------------------------------------------------
