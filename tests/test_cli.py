@@ -138,14 +138,34 @@ def test_output_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of small sweeps and of the default-grid quasi-curves output; any
-# change to the measurement pipeline, the minimizer, the closed forms or the
-# writer that moves one output byte changes them
+# sha256 of small sweeps, of every default-grid output and of two JSON
+# sweeps; any change to the measurement pipeline, the minimizer, the closed
+# forms or the writer that moves one output byte changes them
 SMALL_GRID = ["--alpha2", "0.01", "--alpha2", "1", "--alpha2", "5", "--a-steps", "11"]
 GOLDEN_SHA256 = {
     "quasi-surface": (
         ["quasi-surface", *SMALL_GRID, "--theta-steps", "37"],
         "532af1b98e43f49e09c9b15176f5f330274f8521c0e76864c81e6c4a9b7755a7",
+    ),
+    "quasi-surface-default-grid": (
+        ["quasi-surface"],
+        "d02a20dff902848b64321acaa91b71943b4c56122d74fb85a6eb1f4caa5b0e23",
+    ),
+    "quasi-surface-json": (
+        ["quasi-surface", *SMALL_GRID, "--theta-steps", "37", "--format", "json"],
+        "e676b6bd950e9b74f770b60d248f699c82a6d56d0c51fe38a4312bd5347786ef",
+    ),
+    "zurek-surface-default-grid": (
+        ["zurek-surface"],
+        "1313922cf5f717cf823eeb49c7ffda0129b379179e25c9da95beba487278f296",
+    ),
+    "zurek-surface-json": (
+        ["zurek-surface", "--a-steps", "11", "--theta-steps", "37", "--format", "json"],
+        "67ed2b1c2b2960a74e0f14d44b5100bcb4ff04459d3b0e93d231f109d6bbe223",
+    ),
+    "werner-curves-default-grid": (
+        ["werner-curves"],
+        "f63c6360007bdc8e32a3c5c472c6e2c8e17328ccd89818922b87199fc3c0cb3a",
     ),
     "quasi-curves": (
         ["quasi-curves", *SMALL_GRID],
