@@ -85,32 +85,46 @@ class SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# row generators (one per subcommand)
+# row generators (one per subcommand); each returns the column names and
+# the rows as a structured array, one field per column
+
+def _table(columns, *arrays):
+    """Rows from whole column arrays, as a structured array with one field per column."""
+    arrays = [np.asarray(x) for x in arrays]
+    table = np.empty(len(arrays[0]), dtype=[(name, x.dtype) for name, x in zip(columns, arrays)])
+    for name, x in zip(columns, arrays):
+        table[name] = x
+    return table
+
+
+def _grid(*axes):
+    """One column per axis, one row per point of their product, the last axis fastest."""
+    return [column.ravel() for column in np.meshgrid(*axes, indexing="ij")]
+
 
 def zurek_surface_rows(cfg):
     columns = ["a", "theta", "D"]
-    rows = []
-    for a in cfg.a_grid:
-        for theta in cfg.theta_grid:
-            rows.append((float(a), float(theta), zurek_discord(float(a), float(theta))))
-    return columns, rows
+    d = zurek_discord(cfg.a_grid[:, None], cfg.theta_grid)
+    return columns, _table(columns, *_grid(cfg.a_grid, cfg.theta_grid), d.ravel())
 
 
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
-    rows = []
+    a_col = cfg.a_grid[:, None]
+    closed, at_zero, piped = [], [], []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
         for a in cfg.a_grid:
             a = float(a)
             with _sweep_point(mp, [a]):
-                piped = discord_profile(werner_density(WernerSpec(cfg.family, a, p)), cfg.theta_grid)
-            at_zero = discord_quasi_closed(a, p, 0.0)
-            for theta, d_pipe in zip(cfg.theta_grid, piped):
-                d_closed = discord_quasi_closed(a, p, float(theta))
-                flagged = int(abs(d_closed - at_zero) > BASIS_FLAG_TOL)
-                rows.append((float(mp), a, float(theta), d_closed, float(d_pipe), abs(d_closed - float(d_pipe)), flagged))
-    return columns, rows
+                piped.append(discord_profile(werner_density(WernerSpec(cfg.family, a, p)), cfg.theta_grid))
+        closed.append(discord_quasi_closed(a_col, p, cfg.theta_grid))
+        at_zero.append(discord_quasi_closed(a_col, p, 0.0))
+    closed = np.concatenate(closed)
+    flagged = (np.abs(closed - np.concatenate(at_zero)) > BASIS_FLAG_TOL).astype(np.int64)
+    closed, piped = closed.ravel(), np.concatenate(piped)
+    grid = _grid(cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid)
+    return columns, _table(columns, *grid, closed, piped, np.abs(closed - piped), flagged.ravel())
 
 
 def werner_curves_rows(cfg):
@@ -118,56 +132,86 @@ def werner_curves_rows(cfg):
     # the curves are family independent among the maximally entangled pair,
     # and carry no mean-photon dependence at all
     p = cat_params(1.0)
-    rows = []
-    for a in cfg.a_grid:
-        a = float(a)
-        e = eof(concurrence_closed(WernerSpec(StateFamily.PSI_MINUS, a, p)))
-        delta = werner_discord_closed(a)
-        rows.append((a, e, delta, delta - e))
-    return columns, rows
+    a_values = cfg.a_grid.tolist()
+    e = np.array([eof(concurrence_closed(WernerSpec(StateFamily.PSI_MINUS, a, p))) for a in a_values])
+    delta = np.array([werner_discord_closed(a) for a in a_values])
+    return columns, _table(columns, cfg.a_grid, e, delta, delta - e)
 
 
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
-    rows = []
+    e, delta = [], []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
         specs = [WernerSpec(cfg.family, float(a), p) for a in cfg.a_grid]
         with _sweep_point(mp, [spec.mixing for spec in specs]):
             minima = discord_min(np.array([werner_density(spec) for spec in specs]))
-        for spec, res in zip(specs, minima):
-            e = eof(concurrence_closed(spec))
-            rows.append((float(mp), spec.mixing, e, res.value, res.value - e))
-    return columns, rows
+        e += [eof(concurrence_closed(spec)) for spec in specs]
+        delta += [res.value for res in minima]
+    e, delta = np.array(e), np.array(delta)
+    return columns, _table(columns, *_grid(cfg.mean_photon_list, cfg.a_grid), e, delta, delta - e)
 
 
 # ---------------------------------------------------------------------------
 # output
 
+# rows formatted and written per block, which bounds the text held at once
+WRITE_BLOCK_ROWS = 4096
+
+
 def _fmt(value):
-    if isinstance(value, int):
-        return str(value)
     return "%.15g" % value
+
+
+def _format_column(values):
+    """The CSV text of each value of a column, formatting each distinct value once.
+
+    Distinct means distinct bits, so 0.0 and -0.0 keep their own text.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    keys = keys.view(values.dtype).tolist()
+    text = [str(v) for v in keys] if values.dtype.kind == "i" else ["%.15g" % v for v in keys]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def write_rows(path, fmt, columns, rows):
     """Write rows to path atomically.
 
-    The data goes to a temporary file in the target directory, which then
-    replaces path; a write that fails leaves an existing file at path
-    untouched and removes the temporary file.
+    rows is a structured array with one field per column, or a sequence
+    of tuples.  A non-finite value raises ValueError naming its column
+    before anything is written.  The rows go out in blocks of
+    WRITE_BLOCK_ROWS; in CSV each distinct value of a column is formatted
+    once per block.  The data goes to a temporary file in the target
+    directory, which then replaces path; a write that fails leaves an
+    existing file at path untouched and removes the temporary file.
     """
+    if isinstance(rows, np.ndarray):
+        table = rows
+    else:
+        rows = list(rows)  # a column of Python ints becomes an int64 field
+        table = _table(columns, *(zip(*rows) if rows else [()] * len(columns)))
+    for column, field in zip(columns, table.dtype.names):
+        finite = np.isfinite(table[field])
+        if not finite.all():
+            raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite))}")
+    blocks = (table[start : start + WRITE_BLOCK_ROWS] for start in range(0, len(table), WRITE_BLOCK_ROWS))
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
                 fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                for block in blocks:
+                    text = [_format_column(block[field]) for field in table.dtype.names]
+                    fh.write("\n".join(map(",".join, zip(*text))) + "\n")
             else:
-                json.dump([dict(zip(columns, row)) for row in rows], fh, separators=(",", ":"))
-                fh.write("\n")
+                # one JSON array: each block's records without the block's brackets
+                encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+                fh.write("[")
+                for i, block in enumerate(blocks):
+                    records = [dict(zip(columns, row)) for row in block.tolist()]
+                    fh.write(("," if i else "") + encode(records)[1:-1])
+                fh.write("]\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -314,6 +358,9 @@ def run_sweep(args):
         # strerror alone: the error's file names include the temporary file
         print(f"error: cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     return 0
 

@@ -95,11 +95,38 @@ class DiscordResult:
 
 def _xlogx(p):
     """xlogx over an array, bit for bit: math.log2 on the entries it does not zero."""
+    p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape)
     live = ~(p < XLOGX_FLOOR)  # NaN stays live, as in xlogx
     vals = p[live]
     out[live] = vals * np.fromiter(map(math.log2, vals.tolist()), dtype=float, count=vals.size)
     return out
+
+
+def _squared(fn, x):
+    """fn(x) ** 2 over an array, bit for bit with the scalar math expression.
+
+    Goes through Python floats: numpy's sin and cos match math's, but
+    its power and square differ from libm's pow in the last bit on about
+    one argument in a thousand.
+    """
+    x = np.asarray(x, dtype=float)
+    values = (fn(v) ** 2 for v in x.ravel().tolist())
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
+
+
+def _unit_interval(a, what):
+    """a as a float array, raising ValueError unless every entry lies in [0, 1]."""
+    a = np.asarray(a, dtype=float)
+    bad = ~((0.0 <= a) & (a <= 1.0))  # NaN is bad
+    if bad.any():
+        raise ValueError(f"{what} must lie in [0, 1], got {float(a[bad][0])!r}")
+    return a
+
+
+def _scalar_or_array(x):
+    """A 0-d result as a Python float, any other as the array."""
+    return float(x) if x.ndim == 0 else x
 
 
 def _measure(rhos, thetas, phis):
@@ -308,29 +335,33 @@ def zurek_discord(a, theta):
 
     Depends on theta only through sin^2(2 theta) and not at all on the
     measurement phase; equals 1 at a = 1 and vanishes at a = 0 for
-    theta in {0, pi/2, pi}.
+    theta in {0, pi/2, pi}.  a and theta broadcast together; scalars give
+    a float.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"coherence parameter must lie in [0, 1], got {a!r}")
-    g = math.sqrt(1.0 - (1.0 - a * a) * math.sin(2.0 * theta) ** 2)
-    return (
+    a = _unit_interval(a, "coherence parameter")
+    g = np.sqrt(1.0 - (1.0 - a * a) * _squared(math.sin, 2.0 * np.asarray(theta, dtype=float)))
+    return _scalar_or_array(
         1.0
-        + xlogx((1.0 + a) / 2.0)
-        + xlogx((1.0 - a) / 2.0)
-        - xlogx((1.0 + g) / 2.0)
-        - xlogx((1.0 - g) / 2.0)
+        + _xlogx((1.0 + a) / 2.0)
+        + _xlogx((1.0 - a) / 2.0)
+        - _xlogx((1.0 + g) / 2.0)
+        - _xlogx((1.0 - g) / 2.0)
     )
 
 
 def quasi_probabilities(a, p, theta):
-    """Outcome probabilities (P_0, P_1) for the quasi-Werner measurement."""
+    """Outcome probabilities (P_0, P_1) for the quasi-Werner measurement.
+
+    a and theta broadcast together; scalars give two floats.
+    """
+    a = np.asarray(a, dtype=float)
     w1 = p.n_plus**2 / (4.0 * p.N_plus**4)
     w4 = p.n_plus**2 / (4.0 * p.N_minus**4)
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
+    c2 = _squared(math.cos, theta)
+    s2 = _squared(math.sin, theta)
     p0 = (1.0 - a) / 2.0 + a * (c2 * w1 + s2 * w4)
     p1 = (1.0 - a) / 2.0 + a * (c2 * w4 + s2 * w1)
-    return p0, p1
+    return _scalar_or_array(p0), _scalar_or_array(p1)
 
 
 def discord_quasi_closed(a, p, theta):
@@ -338,22 +369,22 @@ def discord_quasi_closed(a, p, theta):
 
     Assembled from the reduced-Y spectrum, the joint spectrum, and the
     conditional spectra {(1-a)/4P_j, 1 - (1-a)/4P_j}; agrees with the
-    brute-force pipeline on werner_density to 1e-9.
+    brute-force pipeline on werner_density to 1e-9.  a and theta broadcast
+    together; scalars give a float.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {a!r}")
+    a = _unit_interval(a, "mixing parameter")
     if not isinstance(p, CatParams):
         raise TypeError(f"p must be CatParams, got {type(p).__name__}")
     e1 = (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4)
     e2 = (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4)
-    d = -xlogx(e1) - xlogx(e2)
-    d += 3.0 * xlogx((1.0 - a) / 4.0) + xlogx((1.0 + 3.0 * a) / 4.0)
+    d = -_xlogx(e1) - _xlogx(e2)
+    d = d + (3.0 * _xlogx((1.0 - a) / 4.0) + _xlogx((1.0 + 3.0 * a) / 4.0))
     for prob in quasi_probabilities(a, p, theta):
-        if prob < DEGENERATE_PROB:
-            continue
-        c = (1.0 - a) / (4.0 * prob)
-        d -= prob * (xlogx(c) + xlogx(1.0 - c))
-    return d
+        # a branch below DEGENERATE_PROB contributes nothing
+        live = prob >= DEGENERATE_PROB
+        c = (1.0 - a) / (4.0 * np.where(live, prob, 1.0))
+        d = d - np.where(live, prob * (_xlogx(c) + _xlogx(1.0 - c)), 0.0)
+    return _scalar_or_array(d)
 
 
 def werner_discord_closed(a):

@@ -58,7 +58,11 @@ def require_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
 
 
 def require_density_matrix(rho, dim=None, name="rho"):
-    """Validate a density matrix: Hermitian, unit trace, PSD up to roundoff."""
+    """Validate a density matrix: finite, Hermitian, unit trace, PSD up to roundoff."""
+    rho = _as_square(rho, name)
+    # NaN fails no comparison below; it would reach eigvalsh and raise LinAlgError
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{name} has a non-finite entry")
     rho = require_hermitian(rho, name=name)
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"{name} must be {dim}x{dim}, got {rho.shape}")

@@ -137,11 +137,9 @@ def test_criterion_7_delta_minus_e_peak():
     locations = {}
     for mp in (2.0, 5.0):
         p = cat_params(mp)
-        gaps = []
-        for a in np.linspace(0.0, 1.0, 101):
-            spec = WernerSpec(StateFamily.PSI_PLUS, float(a), p)
-            delta = discord_min(werner_density(spec)).value
-            gaps.append(delta - eof(concurrence_closed(spec)))
+        specs = [WernerSpec(StateFamily.PSI_PLUS, float(a), p) for a in np.linspace(0.0, 1.0, 101)]
+        minima = discord_min(np.array([werner_density(spec) for spec in specs]))
+        gaps = [res.value - eof(concurrence_closed(spec)) for spec, res in zip(specs, minima)]
         locations[mp] = float(np.linspace(0.0, 1.0, 101)[int(np.argmax(gaps))])
     ok = all(0.4 < loc < 0.5 for loc in locations.values())
     report(7, "delta-E peak location", ok, f"argmax a = {locations}")

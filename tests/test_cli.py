@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecswerner import cli
 from ecswerner.cli import main, write_rows
@@ -290,6 +294,58 @@ def test_write_replaces_existing_output(tmp_path):
     write_rows(str(out), "csv", ["a", "b"], [(0.5, 1)])
     assert out.read_text(encoding="utf-8") == "a,b\n0.5,1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+column_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(column_values, column_values, st.integers(0, 1)), max_size=30), st.integers(1, 7))
+def test_writer_matches_per_value_formatting(rows, block_rows):
+    # blocks of a few rows, so that a file spans several of them
+    columns = ["a", "b", "flag"]
+    expected = {
+        "csv": "a,b,flag\n" + "".join(f"{'%.15g' % a},{'%.15g' % b},{flag}\n" for a, b, flag in rows),
+        "json": json.dumps([dict(zip(columns, row)) for row in rows], separators=(",", ":")) + "\n",
+    }
+    table = cli._table(columns, *(np.array(c) for c in zip(*rows))) if rows else rows
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        for fmt in ("csv", "json"):
+            for given_rows in (rows, table):
+                out = Path(tmp) / "out"
+                write_rows(str(out), fmt, columns, given_rows)
+                assert out.read_text(encoding="utf-8") == expected[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_rejects_non_finite_value(tmp_path, fmt, bad):
+    out = tmp_path / "out.csv"
+    out.write_text("old contents\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite value in column b at row 1"):
+        write_rows(str(out), fmt, ["a", "b"], [(0.5, 1.0), (0.5, bad)])
+    assert out.read_text(encoding="utf-8") == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_output_exits_4(tmp_path, capsys, monkeypatch, fmt):
+    real = cli.werner_curves_rows
+
+    def rows_with_nan(cfg):
+        columns, rows = real(cfg)
+        rows["delta"][2] = math.nan
+        return columns, rows
+
+    monkeypatch.setattr(cli, "werner_curves_rows", rows_with_nan)
+    out = tmp_path / "w.out"
+    assert main(["werner-curves", "--a-steps", "4", "--format", fmt, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: non-finite value in column delta at row 2\n"
+    assert not out.exists()
 
 
 def random_state(seed):

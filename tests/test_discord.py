@@ -398,6 +398,73 @@ def test_closed_forms_reject_out_of_range():
         werner_discord_closed(1.01)
 
 
+# -- closed forms over arrays ---------------------------------------------------
+
+def scalar_reference_zurek(a, theta):
+    """zurek_discord by the per-value scalar arithmetic the array form replaces."""
+    g = math.sqrt(1.0 - (1.0 - a * a) * math.sin(2.0 * theta) ** 2)
+    return 1.0 + xlogx((1.0 + a) / 2.0) + xlogx((1.0 - a) / 2.0) - xlogx((1.0 + g) / 2.0) - xlogx((1.0 - g) / 2.0)
+
+
+def scalar_reference_probabilities(a, p, theta):
+    w1 = p.n_plus**2 / (4.0 * p.N_plus**4)
+    w4 = p.n_plus**2 / (4.0 * p.N_minus**4)
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    return (1.0 - a) / 2.0 + a * (c2 * w1 + s2 * w4), (1.0 - a) / 2.0 + a * (c2 * w4 + s2 * w1)
+
+
+def scalar_reference_quasi(a, p, theta):
+    e1 = (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4)
+    e2 = (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4)
+    d = -xlogx(e1) - xlogx(e2)
+    d += 3.0 * xlogx((1.0 - a) / 4.0) + xlogx((1.0 + 3.0 * a) / 4.0)
+    for prob in scalar_reference_probabilities(a, p, theta):
+        if prob < DEGENERATE_PROB:
+            continue
+        c = (1.0 - a) / (4.0 * prob)
+        d -= prob * (xlogx(c) + xlogx(1.0 - c))
+    return d
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+# angles where libm's pow(x, 2) differs from x * x in the last bit, for x the
+# sin, cos and sin(2 theta) of the angle
+POW_SENSITIVE_ANGLES = (0.1819244772364523, 3.0097935309886945, 2.808192918797231)
+mixings = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=12)
+theta_lists = st.lists(angles, max_size=20).map(lambda t: [0.0, math.pi / 2.0, math.pi, *POW_SENSITIVE_ANGLES] + t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixings, st.floats(1e-3, 10.0), theta_lists)
+def test_closed_forms_over_arrays_match_scalar(a_values, mp, theta_values):
+    # every entry of a broadcast (a, theta) call equals the scalar arithmetic bit for bit
+    p = cat_params(mp)
+    a, theta = np.array(a_values)[:, None], np.array(theta_values)
+    points = [(x, t) for x in a_values for t in theta_values]
+    assert hexes(zurek_discord(a, theta)) == [scalar_reference_zurek(x, t).hex() for x, t in points]
+    assert hexes(discord_quasi_closed(a, p, theta)) == [scalar_reference_quasi(x, p, t).hex() for x, t in points]
+    for j, got in enumerate(quasi_probabilities(a, p, theta)):
+        assert hexes(got) == [scalar_reference_probabilities(x, p, t)[j].hex() for x, t in points]
+    # scalars in, floats out
+    x, t = points[-1]
+    assert type(zurek_discord(x, t)) is float and type(discord_quasi_closed(x, p, t)) is float
+    assert discord_quasi_closed(x, p, t).hex() == scalar_reference_quasi(x, p, t).hex()
+    assert [type(v) for v in quasi_probabilities(x, p, t)] == [float, float]
+
+
+@pytest.mark.parametrize("bad", [-0.01, 1.5, math.nan])
+def test_closed_forms_reject_bad_entry_in_array(bad):
+    a = np.array([0.0, 0.5, bad, 1.0])
+    with pytest.raises(ValueError, match="must lie in"):
+        zurek_discord(a, 0.3)
+    with pytest.raises(ValueError, match="must lie in"):
+        discord_quasi_closed(a[:, None], cat_params(1.0), THETA_GRID)
+
+
 # -- invariants -----------------------------------------------------------------
 
 def test_phase_invariance():

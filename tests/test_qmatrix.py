@@ -13,6 +13,7 @@ from ecswerner.qmatrix import (
     eigvals_general_product,
     eigvals_hermitian,
     partial_trace,
+    require_density_matrix,
     tensor,
     von_neumann_entropy,
 )
@@ -76,6 +77,21 @@ def test_eigvals_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         eigvals_hermitian(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entry(bad):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        require_density_matrix(rho)
+
+
+def test_density_matrix_rejects_nan_matrix():
+    # NaN passes every comparison-based check; without the finiteness check
+    # eigvalsh raises LinAlgError instead
+    with pytest.raises(ValueError, match="non-finite"):
+        require_density_matrix(np.full((4, 4), np.nan), dim=4)
 
 
 # -- eigvals_general_product -------------------------------------------------
