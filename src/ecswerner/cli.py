@@ -110,19 +110,18 @@ def zurek_surface_rows(cfg):
 
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
-    a_col = cfg.a_grid[:, None]
+    a_col, a_values = cfg.a_grid[:, None], cfg.a_grid.tolist()
     closed, at_zero, piped = [], [], []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
-        for a in cfg.a_grid:
-            a = float(a)
-            with _sweep_point(mp, [a]):
-                piped.append(discord_profile(werner_density(WernerSpec(cfg.family, a, p)), cfg.theta_grid))
+        with _sweep_point(mp, a_values):
+            rhos = np.array([werner_density(WernerSpec(cfg.family, a, p)) for a in a_values])
+            piped.append(discord_profile(rhos, cfg.theta_grid))
         closed.append(discord_quasi_closed(a_col, p, cfg.theta_grid))
         at_zero.append(discord_quasi_closed(a_col, p, 0.0))
     closed = np.concatenate(closed)
     flagged = (np.abs(closed - np.concatenate(at_zero)) > BASIS_FLAG_TOL).astype(np.int64)
-    closed, piped = closed.ravel(), np.concatenate(piped)
+    closed, piped = closed.ravel(), np.concatenate(piped).ravel()
     grid = _grid(cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid)
     return columns, _table(columns, *grid, closed, piped, np.abs(closed - piped), flagged.ravel())
 

@@ -8,12 +8,15 @@ are thin wrappers over it.  Closed forms are provided for the Werner and
 quasi-Werner families and for the two-level einselection benchmark state,
 and a 1-D minimizer finds the optimal measurement angle.
 
-discord_min takes one state or a stack of them.  A stack is minimized in
-lockstep: each kernel call (phase probe, coarse scan, golden-section step,
-final evaluation) covers many states at once, and the results equal those
-of one call per state bit for bit.  The many-angle calls, probe and scan,
-take at most MIN_SLICE_STATES states each, which caps the kernel's
-temporaries.
+discord_profile and discord_min take one 4x4 state or an (S, 4, 4) stack.
+A stack goes through one stacked path: it is validated at once (a failing
+state k is named "state k: " in the message), the entropies of its joint
+and reduced states come from one eigensolve each, and its values equal
+those of one call per state bit for bit.  discord_min minimizes a stack in
+lockstep: each kernel call (phase probe, coarse scan, golden-section
+step, final evaluation) covers many states at once.  The many-angle
+calls, a profile and discord_min's probe and scan, take at most
+MIN_SLICE_STATES states each, which caps the kernel's temporaries.
 """
 
 import math
@@ -24,10 +27,11 @@ import numpy as np
 from .catstates import CatParams
 from .qmatrix import (
     DEGENERATE_PROB,
-    XLOGX_FLOOR,
     NumericalIntegrityError,
-    partial_trace,
+    _partial_trace,
+    _xlogx,
     require_density_matrix,
+    require_density_stack,
     von_neumann_entropy,
     xlogx,
 )
@@ -91,16 +95,6 @@ class DiscordResult:
     mutual_info: float
     classical_corr: float
     probabilities: tuple
-
-
-def _xlogx(p):
-    """xlogx over an array, bit for bit: math.log2 on the entries it does not zero."""
-    p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape)
-    live = ~(p < XLOGX_FLOOR)  # NaN stays live, as in xlogx
-    vals = p[live]
-    out[live] = vals * np.fromiter(map(math.log2, vals.tolist()), dtype=float, count=vals.size)
-    return out
 
 
 def _squared(fn, x):
@@ -175,24 +169,28 @@ def conditional_states(rho, basis):
     )
 
 
-def mutual_information(rho):
-    """Quantum mutual information S(rho_X) + S(rho_Y) - S(rho_XY) in bits."""
-    rho = require_density_matrix(rho, dim=4)
-    return (
-        von_neumann_entropy(partial_trace(rho, "X"))
-        + von_neumann_entropy(partial_trace(rho, "Y"))
-        - von_neumann_entropy(rho)
-    )
+def _states(rho):
+    """A 4x4 state or an (S, 4, 4) stack as a validated stack, and whether rho was a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 3:
+        return require_density_stack(rho, dim=4), True
+    return require_density_matrix(rho, dim=4)[None], False
 
 
 def _discord_parts(rhos):
-    """S(rho_X) and the mutual information of each state, as two (S,) arrays."""
-    s_x, mutual = [], []
-    for rho in rhos:
-        x = von_neumann_entropy(partial_trace(rho, "X"))
-        s_x.append(x)
-        mutual.append(x + von_neumann_entropy(partial_trace(rho, "Y")) - von_neumann_entropy(rho))
-    return np.array(s_x), np.array(mutual)
+    """S(rho_X) and the mutual information S(rho_X) + S(rho_Y) - S(rho_XY) of each state, as two (S,) arrays.
+
+    rhos is a validated stack; each entropy is one eigensolve of the whole
+    stack.  The partial traces skip their checks: the entropy checks the
+    reduced states again.
+    """
+    s_x = von_neumann_entropy(_partial_trace(rhos, "X"))
+    return s_x, s_x + von_neumann_entropy(_partial_trace(rhos, "Y")) - von_neumann_entropy(rhos)
+
+
+def mutual_information(rho):
+    """Quantum mutual information S(rho_X) + S(rho_Y) - S(rho_XY) in bits."""
+    return float(_discord_parts(require_density_matrix(rho, dim=4)[None])[1][0])
 
 
 def _discord(parts, cond):
@@ -224,18 +222,23 @@ def discord_at(rho, basis):
 def discord_profile(rho, thetas, phi=0.0):
     """Discord values over a sequence of measurement angles at a shared phase.
 
-    Same values as discord_at per angle, from one batched evaluation of
-    the measurement kernel; rho is validated and decomposed once.
+    rho is one 4x4 state, giving shape (n,) for n angles, or an (S, 4, 4)
+    stack, giving (S, n).  Same values as discord_at per state and angle,
+    bit for bit.  The stack is validated at once (a failing state k is
+    named "state k: " in the message), its entropies come from one
+    eigensolve per subsystem, and the kernel measures at most
+    MIN_SLICE_STATES states per call.
     """
-    rhos = require_density_matrix(rho, dim=4)[None]
-    return _discord(_discord_parts(rhos), _measure(rhos, np.reshape(thetas, -1), phi)[2])[0]
+    rhos, stacked = _states(rho)
+    values = _sliced_discord(rhos, _discord_parts(rhos), np.reshape(thetas, -1), phi)
+    return values if stacked else values[0]
 
 
 def _sliced_discord(rhos, parts, thetas, phis):
     """Discord of every state at the angles shared by all, shape (S, n).
 
     The kernel sees at most MIN_SLICE_STATES states per call, which caps
-    its temporaries for the many-angle calls of discord_min.
+    its temporaries for the many-angle calls.
     """
     values = np.empty((len(rhos), len(thetas)))
     for start in range(0, len(rhos), MIN_SLICE_STATES):
@@ -249,7 +252,7 @@ def discord_min(rho):
 
     rho is one 4x4 state, giving one DiscordResult, or an (S, 4, 4) stack,
     giving a list of S results equal field for field to one call per state.
-    Every state is validated first.  The phase angle is fixed to 0 after a
+    The stack is validated first, as in discord_profile.  The phase angle is fixed to 0 after a
     runtime check that discord is phase insensitive for each input (raises
     NumericalIntegrityError otherwise; for a stack, the error's index and
     message name the offending state's position); the angle theta is then
@@ -260,9 +263,7 @@ def discord_min(rho):
     states x angles, are one call per slice of at most MIN_SLICE_STATES
     states.
     """
-    rho = np.asarray(rho, dtype=complex)
-    stacked = rho.ndim == 3
-    rhos = np.array([require_density_matrix(r, dim=4) for r in (rho if stacked else [rho])])
+    rhos, stacked = _states(rho)
     parts = _discord_parts(rhos)
 
     # the phase probe: every PHI_PROBE_THETAS angle at every PHI_PROBE phase

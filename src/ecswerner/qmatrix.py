@@ -49,30 +49,113 @@ def _as_square(m, name="matrix"):
     return m
 
 
+def _as_stack(m, name="matrix"):
+    """m as an (S, d, d) stack, and whether it was one (rather than a single d x d matrix)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return (m, True) if m.ndim == 3 else (m[None], False)
+
+
+def _hermiticity_defect(m):
+    """max |M - M^dag| of each matrix of a (..., d, d) array."""
+    return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+
+
+def _first_failure(checks):
+    """Index of the first matrix failing one of checks, and its first failing check's text.
+
+    checks are (bad, message) pairs in the order one matrix is checked:
+    bad is a boolean mask over the stack, message(k) the text for matrix k.
+    Returns (None, None) when every matrix passes.
+    """
+    failing = [mask for mask, _ in checks if mask.any()]
+    if not failing:
+        return None, None
+    k = min(int(mask.argmax()) for mask in failing)
+    return k, next(message(k) for mask, message in checks if mask[k])
+
+
+def _raise_first(checks, stacked):
+    """Raise ValueError for the first matrix failing one of checks (see _first_failure).
+
+    In a stacked input the message is prefixed "state k: ".
+    """
+    k, message = _first_failure(checks)
+    if k is not None:
+        raise ValueError((f"state {k}: " if stacked else "") + message)
+
+
+def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
+    """The Hermiticity, dimension and unit-trace checks of each matrix of a stack, for _first_failure.
+
+    The dimension check, when dim is given, fails every matrix with the text wrong_dim.
+    """
+    defect = _hermiticity_defect(m)
+    tr = m.trace(axis1=-2, axis2=-1).real
+    checks = [(defect > HERMITICITY_TOL, lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})")]
+    if dim is not None and m.shape[-1] != dim:
+        checks.append((np.ones(len(m), dtype=bool), lambda k: wrong_dim))
+    checks.append((np.abs(tr - 1.0) > TRACE_TOL, lambda k: f"{name} must have unit trace, got {float(tr[k])!r}"))
+    return checks
+
+
+def _eigvalsh(m):
+    """eigvalsh over a stack; a LinAlgError carries the position of its first failing matrix in index."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        # the batched solver does not say which matrix failed
+        for k, single in enumerate(m):
+            try:
+                np.linalg.eigvalsh(single)
+            except np.linalg.LinAlgError:
+                exc.index = k
+                break
+        raise
+
+
 def require_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
     m = _as_square(m, name)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    defect = float(_hermiticity_defect(m))
     if defect > tol:
         raise ValueError(f"{name} is not Hermitian (max |M - M^dag| = {defect:.3e})")
     return m
 
 
+def _require_density(rhos, dim, name, stacked):
+    """The checks of require_density_matrix on each matrix of an (S, d, d) stack."""
+    # NaN fails no comparison below; it would reach eigvalsh and raise LinAlgError
+    checks = [(~np.isfinite(rhos).all(axis=(1, 2)), lambda k: f"{name} has a non-finite entry")]
+    checks += _hermitian_unit_trace_checks(rhos, name, dim, f"{name} must be {dim}x{dim}, got {rhos.shape[1:]}")
+    k, message = _first_failure(checks)
+    # the spectrum of every matrix ahead of the first one failing a check above
+    low = _eigvalsh(rhos[:k]).min(axis=-1)
+    not_psd = np.flatnonzero(low < -NEG_EIGENVALUE_TOL)
+    if not_psd.size:
+        k = int(not_psd[0])
+        message = f"{name} is not positive semidefinite (min eigenvalue {low[k]:.3e})"
+    if k is not None:
+        raise ValueError((f"state {k}: " if stacked else "") + message)
+    return rhos
+
+
 def require_density_matrix(rho, dim=None, name="rho"):
     """Validate a density matrix: finite, Hermitian, unit trace, PSD up to roundoff."""
-    rho = _as_square(rho, name)
-    # NaN fails no comparison below; it would reach eigvalsh and raise LinAlgError
-    if not np.isfinite(rho).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    rho = require_hermitian(rho, name=name)
-    if dim is not None and rho.shape[0] != dim:
-        raise ValueError(f"{name} must be {dim}x{dim}, got {rho.shape}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} must have unit trace, got {tr!r}")
-    low = float(np.min(np.linalg.eigvalsh(rho)))
-    if low < -NEG_EIGENVALUE_TOL:
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {low:.3e})")
-    return rho
+    return _require_density(_as_square(rho, name)[None], dim, name, stacked=False)[0]
+
+
+def require_density_stack(rhos, dim=None, name="rho"):
+    """Validate an (S, d, d) stack of density matrices at once.
+
+    Every matrix gets the checks of require_density_matrix, in the same
+    order and with the same messages; the first failing matrix k raises
+    ValueError with its message prefixed "state k: ".
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+        raise ValueError(f"{name} must be a stack of square matrices, got shape {rhos.shape}")
+    return _require_density(rhos, dim, name, stacked=True)
 
 
 def density_from_vector(v):
@@ -98,12 +181,23 @@ def tensor(a, b):
     return np.kron(a, b)
 
 
-def _clamp_spectrum(vals, what="eigenvalue"):
+def _clamp_spectrum(vals, upper=None, what="eigenvalue"):
+    """vals with roundoff below 0 clamped to 0, and clipped to upper when given.
+
+    vals is one spectrum, or a stack of them (S, d); the first failing
+    spectrum k of a stack is named "state k: " in the message and carried
+    in the error's index.
+    """
     vals = np.asarray(vals, dtype=float)
-    low = float(vals.min()) if vals.size else 0.0
-    if low < -NEG_EIGENVALUE_TOL:
-        raise NumericalIntegrityError(f"{what} {low!r} below -{NEG_EIGENVALUE_TOL:g}")
-    return np.clip(vals, 0.0, None)
+    low = vals.min(axis=-1, initial=0.0)
+    bad = low < -NEG_EIGENVALUE_TOL
+    if bad.any():
+        k, prefix = None, ""
+        if vals.ndim > 1:
+            k = int(bad.argmax())
+            low, prefix = low[k], f"state {k}: "
+        raise NumericalIntegrityError(f"{prefix}{what} {float(low)!r} below -{NEG_EIGENVALUE_TOL:g}", index=k)
+    return vals.clip(0.0, upper)
 
 
 def eigvals_hermitian(m):
@@ -152,20 +246,25 @@ def partial_trace(rho, keep):
 
     Parameters
     ----------
-    rho : 4x4 density matrix (Hermitian, unit trace).
+    rho : 4x4 density matrix (Hermitian, unit trace), or an (S, 4, 4) stack
+        of them, giving an (S, 2, 2) stack; a stack's failing matrix k is
+        named "state k: " in the message.
     keep : "X" or "Y", the subsystem that survives.
     """
-    rho = require_hermitian(rho, name="rho")
-    if rho.shape[0] != 4:
-        raise ValueError(f"partial_trace needs a 4x4 matrix, got {rho.shape}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"rho must have unit trace, got {tr!r}")
-    r = rho.reshape(2, 2, 2, 2)
+    rhos, stacked = _as_stack(rho, "rho")
+    wrong_dim = f"partial_trace needs a 4x4 matrix, got {rhos.shape[1:]}"
+    _raise_first(_hermitian_unit_trace_checks(rhos, "rho", 4, wrong_dim), stacked)
+    reduced = _partial_trace(rhos, keep)
+    return reduced if stacked else reduced[0]
+
+
+def _partial_trace(rhos, keep):
+    """partial_trace of each matrix of an (S, 4, 4) stack, without its checks."""
+    r = rhos.reshape(-1, 2, 2, 2, 2)
     if keep == "X":
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("sikjk->sij", r)
     if keep == "Y":
-        return np.einsum("kikj->ij", r)
+        return np.einsum("skikj->sij", r)
     raise ValueError(f"keep must be 'X' or 'Y', got {keep!r}")
 
 
@@ -182,16 +281,33 @@ def binary_entropy(p):
     return 0.0 - xlogx(p) - xlogx(1.0 - p)
 
 
+def _xlogx(p):
+    """xlogx over an array, bit for bit: math.log2 on the entries it does not zero."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(p.shape)
+    live = ~(p < XLOGX_FLOOR)  # NaN stays live, as in xlogx
+    vals = p[live]
+    out[live] = vals * np.fromiter(map(math.log2, vals.tolist()), dtype=float, count=vals.size)
+    return out
+
+
 def von_neumann_entropy(rho):
     """Entropy -Tr(rho log2 rho) in bits.
 
     Eigenvalues are clamped to [0, 1] before the log; a pure state gives 0,
-    the maximally mixed d-dim state gives log2(d).
+    the maximally mixed d-dim state gives log2(d).  rho is one matrix,
+    giving a float, or an (S, d, d) stack, giving an (S,) array from one
+    eigensolve of the whole stack; each entry equals the matrix's own
+    entropy bit for bit.  A stack's failing matrix k is named "state k: "
+    in a check's message, and a clamp failure carries k in its index.
     """
-    rho = require_hermitian(rho, name="rho")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"rho must have unit trace, got {tr!r}")
-    vals = _clamp_spectrum(np.linalg.eigvalsh(rho))
-    vals = np.clip(vals, 0.0, 1.0)
-    return float(0.0 - sum(xlogx(float(v)) for v in vals))
+    rhos, stacked = _as_stack(rho, "rho")
+    _raise_first(_hermitian_unit_trace_checks(rhos, "rho"), stacked)
+    vals = _eigvalsh(rhos)
+    terms = _xlogx(_clamp_spectrum(vals if stacked else vals[0], 1.0).reshape(vals.shape))
+    # the terms summed in the order of sum(): 0 + x0 + x1 + ...
+    total = np.zeros(len(rhos))
+    for column in terms.T:
+        total = total + column
+    entropy = 0.0 - total
+    return entropy if stacked else float(entropy[0])

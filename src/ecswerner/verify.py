@@ -91,38 +91,37 @@ def check_lambdas():
     return Check("spin-flip lambdas closed vs numeric", dev, 1e-9)
 
 
+def _stack(family, a_values, p):
+    """The Werner-form states of family at each mixing weight, as an (S, 4, 4) stack."""
+    return np.array([werner_density(WernerSpec(family, float(a), p)) for a in a_values])
+
+
 def check_quasi_discord():
     dev = 0.0
     for family in PLUS_FAMILIES:
         for mp in MEAN_PHOTON_GRID:
             p = cat_params(mp)
             closed = discord_quasi_closed(np.array(A_GRID)[:, None], p, THETA_GRID_19)
-            for a, row in zip(A_GRID, closed):
-                rho = werner_density(WernerSpec(family, float(a), p))
-                dev = max(dev, _max_dev(row, discord_profile(rho, THETA_GRID_19)))
+            dev = max(dev, _max_dev(closed, discord_profile(_stack(family, A_GRID, p), THETA_GRID_19)))
     return Check("quasi-Werner discord closed vs pipeline", dev, 1e-9)
 
 
 def check_plus_family_equality():
     dev = 0.0
+    thetas = THETA_GRID_19[::3]
     for mp in MEAN_PHOTON_GRID:
         p = cat_params(mp)
-        for a in A_GRID:
-            rho_psi = werner_density(WernerSpec(StateFamily.PSI_PLUS, float(a), p))
-            rho_phi = werner_density(WernerSpec(StateFamily.PHI_PLUS, float(a), p))
-            thetas = THETA_GRID_19[::3]
-            dev = max(dev, _max_dev(discord_profile(rho_psi, thetas, 0.4), discord_profile(rho_phi, thetas, 0.4)))
+        psi, phi = (discord_profile(_stack(family, A_GRID, p), thetas, 0.4) for family in PLUS_FAMILIES)
+        dev = max(dev, _max_dev(psi, phi))
     return Check("psi+ vs phi+ discord equality", dev, 1e-12)
 
 
 def check_werner_discord():
     dev = 0.0
     p = cat_params(1.0)
+    closed = np.array([werner_discord_closed(float(a)) for a in A_GRID])[:, None]
     for family in MINUS_FAMILIES:
-        for a in A_GRID:
-            rho = werner_density(WernerSpec(family, float(a), p))
-            closed = werner_discord_closed(float(a))
-            dev = max(dev, _max_dev(discord_profile(rho, THETA_GRID_19[::2], 1.0), closed))
+        dev = max(dev, _max_dev(discord_profile(_stack(family, A_GRID, p), THETA_GRID_19[::2], 1.0), closed))
     return Check("Werner discord closed vs pipeline", dev, 1e-9)
 
 
@@ -130,20 +129,17 @@ def check_werner_basis_independence():
     dev = 0.0
     p = cat_params(0.5)
     for family in MINUS_FAMILIES:
-        for a in (0.2, 0.5, 0.9):
-            rho = werner_density(WernerSpec(family, a, p))
-            # the first value is theta = 0, phi = 0: the reference basis
-            values = np.concatenate([discord_profile(rho, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)])
-            dev = max(dev, _max_dev(values, values[0]))
+        rhos = _stack(family, (0.2, 0.5, 0.9), p)
+        # the first value of each state is theta = 0, phi = 0: the reference basis
+        values = np.concatenate([discord_profile(rhos, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)], axis=1)
+        dev = max(dev, _max_dev(values, values[:, :1]))
     return Check("Werner discord basis independence", dev, 1e-10)
 
 
 def check_zurek():
-    dev = 0.0
     closed = zurek_discord(np.array(A_GRID)[:, None], THETA_GRID_19)
-    for a, row in zip(A_GRID, closed):
-        rho = zurek_density(float(a))
-        dev = max(dev, _max_dev(row, discord_profile(rho, THETA_GRID_19, 1.0)))
+    rhos = np.array([zurek_density(float(a)) for a in A_GRID])
+    dev = _max_dev(closed, discord_profile(rhos, THETA_GRID_19, 1.0))
     return Check("einselection-state discord closed vs pipeline", dev, 1e-9)
 
 
@@ -210,10 +206,8 @@ def check_nonnegativity():
     worst = 0.0
     for family in StateFamily:
         for mp in MEAN_PHOTON_GRID:
-            p = cat_params(mp)
-            for a in A_GRID:
-                rho = werner_density(WernerSpec(family, float(a), p))
-                worst = max(worst, -float(discord_profile(rho, THETA_GRID_19[::3]).min()))
+            values = discord_profile(_stack(family, A_GRID, cat_params(mp)), THETA_GRID_19[::3])
+            worst = max(worst, -float(values.min()))
     return Check("discord non-negativity", worst, 1e-9)
 
 

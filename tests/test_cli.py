@@ -375,14 +375,47 @@ def test_phase_sensitive_state_in_curves_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_linalg_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch):
-    def failing_profile(rho, thetas):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # the eigensolver fails on the state at a = 0.5, position 2 of the stacked
+    # call: the batched LinAlgError names no matrix, so the failing one is
+    # found state by state and the message names its a
+    marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    real_density, real_eigvalsh = cli.werner_density, np.linalg.eigvalsh
 
-    monkeypatch.setattr(cli, "discord_profile", failing_profile)
+    def density(spec):
+        return marker.copy() if spec.mixing == 0.5 else real_density(spec)
+
+    def eigvalsh(m):
+        if m.shape[-2:] == marker.shape and np.all(m == marker, axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvalsh(m)
+
+    monkeypatch.setattr(cli, "werner_density", density)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     out = tmp_path / "qs.csv"
-    assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "3", "--out", str(out)]) == 4
+    assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "5", "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err == "error: numerical failure at |alpha|^2 = 2, a = 0: Eigenvalues did not converge\n"
+    assert err == "error: numerical failure at |alpha|^2 = 2, a = 0.5: Eigenvalues did not converge\n"
+    assert not out.exists()
+
+
+def test_entropy_clamp_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch):
+    # a valid state (min eigenvalue -0.9e-10, inside the clamp tolerance)
+    # whose reduced X state has the eigenvalue -1.8e-10: the stacked entropy's
+    # clamp fails at position 2 and the message names that state's a
+    eps = 0.9e-10
+    bad = np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex)
+    real = cli.werner_density
+
+    def density(spec):
+        return bad if spec.mixing == 0.5 else real(spec)
+
+    monkeypatch.setattr(cli, "werner_density", density)
+    out = tmp_path / "qs.csv"
+    assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "5", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: numerical failure at |alpha|^2 = 2, a = 0.5: state 2: eigenvalue -1.8")
+    assert err.endswith(" below -1e-10\n")
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ecswerner.catstates import StateFamily, cat_params
 from ecswerner.discord import (
+    MIN_SLICE_STATES,
     MeasurementBasis,
     _xlogx,
     conditional_states,
@@ -25,6 +26,8 @@ from ecswerner.qmatrix import (
     NumericalIntegrityError,
     eigvals_hermitian,
     partial_trace,
+    require_density_matrix,
+    require_density_stack,
     tensor,
     von_neumann_entropy,
     xlogx,
@@ -242,6 +245,107 @@ def test_discord_profile_matches_pointwise(rho, thetas, phi):
     assert profile.shape == (len(thetas),)
     assert profile.tolist() == [discord_at(rho, MeasurementBasis(t, phi)).value for t in thetas]
     assert profile.tolist() == [scalar_reference_discord(rho, t, phi) for t in thetas]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(measured_states(), max_size=40), st.lists(angles, max_size=20), angles)
+def test_stacked_profile_matches_per_state(states, thetas, phi):
+    # a stacked call (crossing the slice size) gives every state exactly the
+    # profile it gets alone
+    stack = np.array(states, dtype=complex).reshape(-1, 4, 4)
+    stacked = discord_profile(stack, thetas, phi)
+    assert stacked.shape == (len(states), len(thetas))
+    assert stacked.tolist() == [discord_profile(rho, thetas, phi).tolist() for rho in states]
+
+
+def test_stacked_profile_crosses_slices():
+    states = [quasi(float(a), 0.3) for a in np.linspace(0.0, 1.0, 2 * MIN_SLICE_STATES + 3)]
+    stacked = discord_profile(np.array(states), THETA_GRID)
+    assert stacked.tolist() == [discord_profile(rho, THETA_GRID).tolist() for rho in states]
+
+
+def scalar_reference_entropy(rho):
+    """von Neumann entropy by the per-matrix arithmetic the stacked entropy replaces."""
+    vals = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    return float(0.0 - sum(xlogx(float(v)) for v in vals))
+
+
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+entropy_states = st.one_of(
+    measured_states(),
+    st.sampled_from([I4, np.outer(SINGLET, SINGLET.conj()), quasi(0.0, 0.5), quasi(1.0, 0.5), zurek_density(1.0)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(entropy_states, max_size=30))
+def test_stacked_entropy_matches_per_matrix(states):
+    # the entropy of a stack, joint and reduced, equals the per-matrix value
+    # and the per-matrix arithmetic as float hex
+    stack = np.array(states, dtype=complex).reshape(-1, 4, 4)
+    for matrices in (stack, partial_trace(stack, "X"), partial_trace(stack, "Y")):
+        got = hexes(von_neumann_entropy(matrices))
+        assert got == [float(von_neumann_entropy(m)).hex() for m in matrices]
+        assert got == [scalar_reference_entropy(m).hex() for m in matrices]
+
+
+def test_stacked_entropy_of_pure_and_mixed_states():
+    # pure, maximally mixed, a = 0 and a = 1 states, every one in a single stack
+    stack = np.array([np.outer(SINGLET, SINGLET.conj()), I4, quasi(0.0, 0.5), quasi(1.0, 0.5), zurek_density(1.0)])
+    values = von_neumann_entropy(stack)
+    assert hexes(values) == [scalar_reference_entropy(m).hex() for m in stack]
+    assert np.max(np.abs(values - [0.0, 2.0, 2.0, 0.0, 0.0])) < 1e-12
+
+
+def invalid(kind, rho):
+    """rho made invalid in one way: a NaN entry, non-Hermitian, off unit trace or not PSD."""
+    rho = rho.copy()
+    if kind == "nan":
+        rho[1, 2] = math.nan
+    elif kind == "hermitian":
+        rho[0, 1] += 1e-6
+    elif kind == "trace":
+        rho *= 1.01
+    else:
+        rho = np.diag([0.5, 0.5, 0.1, -0.1]).astype(complex)
+    return rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(measured_states(), min_size=1, max_size=24),
+    st.sampled_from(["nan", "hermitian", "trace", "psd"]),
+    st.data(),
+)
+def test_invalid_stack_names_state(states, kind, data):
+    # a stack with one invalid state at position k raises the per-state
+    # error, its message prefixed "state k: ", from every stacked entry point
+    k = data.draw(st.integers(0, len(states) - 1))
+    states[k] = invalid(kind, states[k])
+    with pytest.raises(ValueError) as single:
+        require_density_matrix(states[k], dim=4)
+    expected = f"state {k}: {single.value}"
+    for call in (
+        lambda stack: require_density_stack(stack, dim=4),
+        lambda stack: discord_profile(stack, THETA_GRID),
+        discord_min,
+    ):
+        with pytest.raises(ValueError) as stacked:
+            call(np.array(states))
+        assert str(stacked.value) == expected
+
+
+def test_stacked_entropy_clamp_names_state():
+    # the reduced X state of the state at position 2 has the eigenvalue
+    # -1.8e-10, below the clamp tolerance
+    eps = 0.9e-10
+    stack = np.array([I4, I4, np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]), I4], dtype=complex)
+    with pytest.raises(NumericalIntegrityError, match=r"^state 2: eigenvalue -1\.8") as info:
+        discord_profile(stack, THETA_GRID)
+    assert info.value.index == 2
+    with pytest.raises(NumericalIntegrityError, match=r"^eigenvalue -1\.8") as info:
+        von_neumann_entropy(partial_trace(stack[2], "X"))
+    assert info.value.index is None
 
 
 # -- discord_min ---------------------------------------------------------------

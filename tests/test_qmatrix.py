@@ -14,6 +14,7 @@ from ecswerner.qmatrix import (
     eigvals_hermitian,
     partial_trace,
     require_density_matrix,
+    require_density_stack,
     tensor,
     von_neumann_entropy,
 )
@@ -92,6 +93,18 @@ def test_density_matrix_rejects_nan_matrix():
     # eigvalsh raises LinAlgError instead
     with pytest.raises(ValueError, match="non-finite"):
         require_density_matrix(np.full((4, 4), np.nan), dim=4)
+
+
+def test_density_stack_reports_first_invalid_state():
+    # a state that fails only the PSD check, ahead of a non-finite one, is
+    # the one reported, as checking one state at a time would
+    stack = np.array([I4 / 4.0, np.diag([0.5, 0.5, 0.1, -0.1]), I4 / 4.0, np.full((4, 4), np.nan)], dtype=complex)
+    with pytest.raises(ValueError, match=r"^state 1: rho is not positive semidefinite"):
+        require_density_stack(stack, dim=4)
+    with pytest.raises(ValueError, match=r"^state 1: rho has a non-finite entry"):
+        require_density_stack(stack[2:], dim=4)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        require_density_stack(I4 / 4.0)
 
 
 # -- eigvals_general_product -------------------------------------------------
