@@ -17,6 +17,11 @@ lockstep: each kernel call (phase probe, coarse scan, golden-section
 step, final evaluation) covers many states at once.  The many-angle
 calls, a profile and discord_min's probe and scan, take at most
 MIN_SLICE_STATES states each, which caps the kernel's temporaries.
+
+The kernel multiplies real arrays when every phase is zero and every state
+is real, which covers every sweep and every minimizer step on the states
+this library builds; its blocks then have the same bits as the complex
+einsum it otherwise runs (a phase probe, phi != 0, or a complex state).
 """
 
 import math
@@ -123,6 +128,22 @@ def _scalar_or_array(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _real_blocks(rhos, vecs):
+    """The conditional X blocks of real states measured with real projectors.
+
+    The real part of the complex einsum in _measure, computed in einsum's
+    own order: each term is (rho[s, a, b, c, d] * v_b) * v_d, and the four
+    terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).
+    """
+    r = rhos.real.reshape(-1, 1, 1, 2, 2, 2, 2)
+    v = vecs.real[..., None, None]
+
+    def term(b, d):
+        return (r[..., :, b, :, d] * v[..., b, :, :]) * v[..., d, :, :]
+
+    return (term(0, 0) + term(0, 1)) + (term(1, 0) + term(1, 1))
+
+
 def _measure(rhos, thetas, phis):
     """Measure Y on a stack of validated states at arrays of angles.
 
@@ -135,9 +156,19 @@ def _measure(rhos, thetas, phis):
     closed-form spectrum of each Hermitian 2x2 block.  A branch with P_j
     below DEGENERATE_PROB contributes nothing.  Every value depends only
     on its own state and angle, not on what else the call measures.
+
+    When every phi is zero and every state is real (all states this
+    library builds, at every angle of a sweep or of the minimizer), the
+    projectors are real and the blocks come from _real_blocks as real
+    arrays, with the same bits as the real part of the complex einsum,
+    whose imaginary part is then zero.  Any other input goes through the
+    complex einsum.
     """
     vecs = _projectors(np.atleast_2d(thetas), phis)
-    blocks = np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
+    if not np.any(phis) and not rhos.imag.any():
+        blocks = _real_blocks(rhos, vecs)
+    else:
+        blocks = np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
     m00, m11 = blocks[..., 0, 0].real, blocks[..., 1, 1].real
     m01, m10 = blocks[..., 0, 1], blocks[..., 1, 0]
     probs = m00 + m11
@@ -157,14 +188,16 @@ def _measure(rhos, thetas, phis):
 def conditional_states(rho, basis):
     """Post-measurement states of X and outcome probabilities.
 
-    Returns ((rho_0, P_0), (rho_1, P_1)).  A branch with probability below
-    DEGENERATE_PROB is degenerate; it is reported with the maximally mixed
-    placeholder state and contributes nothing to conditional entropies.
+    Returns ((rho_0, P_0), (rho_1, P_1)), each rho_j a complex 2x2 matrix.
+    A branch with probability below DEGENERATE_PROB is degenerate; it is
+    reported with the maximally mixed placeholder state and contributes
+    nothing to conditional entropies.
     """
     rho = require_density_matrix(rho, dim=4)
     blocks, probs, _ = _measure(rho[None], [basis.theta], basis.phi)
+    # the kernel's blocks are real for a real state at phi = 0
     return tuple(
-        (m / p, p) if p >= DEGENERATE_PROB else (np.eye(2, dtype=complex) / 2.0, p)
+        (m.astype(complex) / p, p) if p >= DEGENERATE_PROB else (np.eye(2, dtype=complex) / 2.0, p)
         for m, p in zip(blocks[0, 0], probs[0, 0].tolist())
     )
 

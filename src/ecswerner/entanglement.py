@@ -24,10 +24,14 @@ class EntanglementResult:
     lambdas: np.ndarray  # the four spin-flip eigenvalues, descending
 
 
+def _spin_flip(rho):
+    """spin_flip of an already validated state."""
+    return _SY_SY @ rho.conj() @ _SY_SY
+
+
 def spin_flip(rho):
     """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    rho = require_density_matrix(rho, dim=4)
-    return _SY_SY @ rho.conj() @ _SY_SY
+    return _spin_flip(require_density_matrix(rho, dim=4))
 
 
 def concurrence_mixed(rho):
@@ -37,7 +41,7 @@ def concurrence_mixed(rho):
     rho @ spin_flip(rho), in decreasing order.
     """
     rho = require_density_matrix(rho, dim=4)
-    lams = np.sqrt(eigvals_general_product(rho, spin_flip(rho)))
+    lams = np.sqrt(eigvals_general_product(rho, _spin_flip(rho)))
     c = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
     return EntanglementResult(concurrence=c, eof=eof(c), lambdas=lams)
 

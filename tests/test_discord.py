@@ -1,14 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecswerner import discord
 from ecswerner.catstates import StateFamily, cat_params
 from ecswerner.discord import (
     MIN_SLICE_STATES,
     MeasurementBasis,
+    _measure,
+    _projectors,
     _xlogx,
     conditional_states,
     discord_at,
@@ -262,6 +266,84 @@ def test_stacked_profile_crosses_slices():
     states = [quasi(float(a), 0.3) for a in np.linspace(0.0, 1.0, 2 * MIN_SLICE_STATES + 3)]
     stacked = discord_profile(np.array(states), THETA_GRID)
     assert stacked.tolist() == [discord_profile(rho, THETA_GRID).tolist() for rho in states]
+
+
+# -- measurement kernel: the real path -------------------------------------------
+
+def einsum_blocks(rhos, vecs):
+    """The complex einsum of the measurement kernel, the reference for its real path."""
+    return np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
+
+
+def by_einsum(fn, *args):
+    """fn(*args) with the kernel's real blocks replaced by the complex einsum."""
+    with mock.patch.object(discord, "_real_blocks", einsum_blocks):
+        return fn(*args)
+
+
+@st.composite
+def real_states(draw):
+    """A real density matrix: random, often with zero entries and not X-form, or a library state."""
+    if draw(st.booleans()):
+        return draw(measured_states())
+    entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    g = np.array(draw(st.lists(entry, min_size=16, max_size=16))).reshape(4, 4)
+    rho = g @ g.T
+    trace = np.trace(rho)
+    return rho / trace if trace > 1e-3 else np.eye(4) / 4.0
+
+
+# angles where sin or cos vanishes or changes sign, and the rest of a period
+kernel_angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2.0, math.pi, -math.pi / 2.0]), angles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(real_states(), min_size=1, max_size=40),
+    st.integers(0, 12),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0]),
+    st.data(),
+)
+def test_real_path_matches_complex_einsum(states, n, per_state, phi, data):
+    # a real stack at phi = +-0 takes the real path, and its blocks, P_j and
+    # conditional entropies equal the complex einsum's as float hex, signed
+    # zeros included; so does a stacked profile, which measures in slices
+    rhos = np.array(states, dtype=complex)
+    shape = (len(states), n) if per_state else (n,)
+    size = int(np.prod(shape))
+    thetas = np.array(data.draw(st.lists(kernel_angles, min_size=size, max_size=size))).reshape(shape)
+    got = _measure(rhos, thetas, phi)
+    want = by_einsum(_measure, rhos, thetas, phi)
+    assert got[0].dtype == np.float64 and want[0].dtype == np.complex128
+    assert got[0].shape == want[0].shape and not want[0].imag.any()
+    assert hexes(got[0]) == hexes(want[0].real)
+    assert hexes(got[1]) == hexes(want[1]) and hexes(got[2]) == hexes(want[2])
+    if not per_state:
+        assert hexes(discord_profile(rhos, thetas, phi)) == hexes(by_einsum(discord_profile, rhos, thetas, phi))
+
+
+def test_complex_inputs_keep_the_complex_einsum():
+    # a complex Hermitian state at phi = 0, and a real one at phi != 0, give the
+    # einsum's complex blocks bit for bit
+    thetas = np.linspace(-math.pi, math.pi, 13)
+    for rhos, phi in ((np.array([random_state(7), random_state(8)]), 0.0), (np.array([quasi(0.4, 0.7)]), 0.9)):
+        got = _measure(rhos, thetas, phi)[0]
+        want = einsum_blocks(rhos, _projectors(np.atleast_2d(thetas), phi))
+        assert got.dtype == np.complex128
+        assert hexes(got.real) == hexes(want.real) and hexes(got.imag) == hexes(want.imag)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.3])
+@pytest.mark.parametrize("rho", [quasi(0.4, 0.7), quasi(0.9, 2.0, StateFamily.PHI_MINUS), zurek_density(0.3)])
+def test_conditional_states_are_complex(rho, phi):
+    # complex 2x2 matrices at every phase, equal to the normalized einsum blocks
+    basis = MeasurementBasis(0.3, phi)
+    blocks = einsum_blocks(rho[None], _projectors([[basis.theta]], basis.phi))[0, 0]
+    for (got, prob), m in zip(conditional_states(rho, basis), blocks):
+        assert got.dtype == np.complex128
+        want = m / prob
+        assert hexes(got.real) == hexes(want.real) and hexes(got.imag) == hexes(want.imag)
 
 
 def scalar_reference_entropy(rho):

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ecswerner import entanglement
 from ecswerner.catstates import StateFamily, cat_params, concurrence_pure, ecs_concurrence, ecs_vector
 from ecswerner.discord import werner_discord_closed
 from ecswerner.entanglement import concurrence_closed, concurrence_mixed, eof, spin_flip
@@ -42,6 +44,13 @@ def test_spin_flip_swaps_outer_diagonal():
 
 
 # -- concurrence -----------------------------------------------------------------
+
+def test_concurrence_validates_the_state_once():
+    rho = werner_density(wspec(StateFamily.PSI_PLUS, 0.7, 0.5))
+    with mock.patch.object(entanglement, "require_density_matrix", wraps=entanglement.require_density_matrix) as check:
+        concurrence_mixed(rho)
+    assert check.call_count == 1
+
 
 def test_werner_concurrence_vanishes_at_threshold():
     res = concurrence_mixed(werner_density(wspec(StateFamily.PSI_MINUS, 1.0 / 3.0, 1.0)))
