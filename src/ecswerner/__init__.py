@@ -38,7 +38,7 @@ from .qmatrix import (
     tensor,
     von_neumann_entropy,
 )
-from .werner import WernerSpec, WernerSpectra, spectrum_closed, werner_density, wootters_lambdas_closed
+from .werner import WernerSpec, WernerSpectra, spectrum_closed, werner_density, werner_stack, wootters_lambdas_closed
 
 __version__ = "0.1.0"
 
@@ -75,6 +75,7 @@ __all__ = [
     "von_neumann_entropy",
     "werner_density",
     "werner_discord_closed",
+    "werner_stack",
     "wootters_lambdas_closed",
     "zurek_density",
     "zurek_discord",

@@ -26,7 +26,7 @@ from .discord import discord_min, discord_profile, discord_quasi_closed, werner_
 from .entanglement import concurrence_closed, eof
 from .qmatrix import NumericalIntegrityError
 from .verify import run_verification
-from .werner import WernerSpec, werner_density
+from .werner import WernerSpec, werner_stack
 
 DEFAULT_A_MIN = 0.0
 DEFAULT_A_MAX = 1.0
@@ -115,8 +115,7 @@ def quasi_surface_rows(cfg):
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
         with _sweep_point(mp, a_values):
-            rhos = np.array([werner_density(WernerSpec(cfg.family, a, p)) for a in a_values])
-            piped.append(discord_profile(rhos, cfg.theta_grid))
+            piped.append(discord_profile(werner_stack(cfg.family, cfg.a_grid, p), cfg.theta_grid))
         closed.append(discord_quasi_closed(a_col, p, cfg.theta_grid))
         at_zero.append(discord_quasi_closed(a_col, p, 0.0))
     closed = np.concatenate(closed)
@@ -133,19 +132,19 @@ def werner_curves_rows(cfg):
     p = cat_params(1.0)
     a_values = cfg.a_grid.tolist()
     e = np.array([eof(concurrence_closed(WernerSpec(StateFamily.PSI_MINUS, a, p))) for a in a_values])
-    delta = np.array([werner_discord_closed(a) for a in a_values])
+    delta = werner_discord_closed(cfg.a_grid)
     return columns, _table(columns, cfg.a_grid, e, delta, delta - e)
 
 
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
+    a_values = cfg.a_grid.tolist()
     e, delta = [], []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
-        specs = [WernerSpec(cfg.family, float(a), p) for a in cfg.a_grid]
-        with _sweep_point(mp, [spec.mixing for spec in specs]):
-            minima = discord_min(np.array([werner_density(spec) for spec in specs]))
-        e += [eof(concurrence_closed(spec)) for spec in specs]
+        with _sweep_point(mp, a_values):
+            minima = discord_min(werner_stack(cfg.family, cfg.a_grid, p))
+        e += [eof(concurrence_closed(WernerSpec(cfg.family, a, p))) for a in a_values]
         delta += [res.value for res in minima]
     e, delta = np.array(e), np.array(delta)
     return columns, _table(columns, *_grid(cfg.mean_photon_list, cfg.a_grid), e, delta, delta - e)
@@ -176,24 +175,19 @@ def _format_column(values):
 def write_rows(path, fmt, columns, rows):
     """Write rows to path atomically.
 
-    rows is a structured array with one field per column, or a sequence
-    of tuples.  A non-finite value raises ValueError naming its column
-    before anything is written.  The rows go out in blocks of
-    WRITE_BLOCK_ROWS; in CSV each distinct value of a column is formatted
-    once per block.  The data goes to a temporary file in the target
-    directory, which then replaces path; a write that fails leaves an
-    existing file at path untouched and removes the temporary file.
+    rows is a structured array with one field per column.  A non-finite
+    value raises ValueError naming its column before anything is written.
+    The rows go out in blocks of WRITE_BLOCK_ROWS; in CSV each distinct
+    value of a column is formatted once per block.  The data goes to a
+    temporary file in the target directory, which then replaces path; a
+    write that fails leaves an existing file at path untouched and removes
+    the temporary file.
     """
-    if isinstance(rows, np.ndarray):
-        table = rows
-    else:
-        rows = list(rows)  # a column of Python ints becomes an int64 field
-        table = _table(columns, *(zip(*rows) if rows else [()] * len(columns)))
-    for column, field in zip(columns, table.dtype.names):
-        finite = np.isfinite(table[field])
+    for column, field in zip(columns, rows.dtype.names):
+        finite = np.isfinite(rows[field])
         if not finite.all():
             raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite))}")
-    blocks = (table[start : start + WRITE_BLOCK_ROWS] for start in range(0, len(table), WRITE_BLOCK_ROWS))
+    blocks = (rows[start : start + WRITE_BLOCK_ROWS] for start in range(0, len(rows), WRITE_BLOCK_ROWS))
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
@@ -201,7 +195,7 @@ def write_rows(path, fmt, columns, rows):
             if fmt == "csv":
                 fh.write(",".join(columns) + "\n")
                 for block in blocks:
-                    text = [_format_column(block[field]) for field in table.dtype.names]
+                    text = [_format_column(block[field]) for field in rows.dtype.names]
                     fh.write("\n".join(map(",".join, zip(*text))) + "\n")
             else:
                 # one JSON array: each block's records without the block's brackets

@@ -6,7 +6,8 @@ measures Y on a stack of states, each at its own array of (theta, phi)
 angles; discord_at, discord_profile, discord_min and conditional_states
 are thin wrappers over it.  Closed forms are provided for the Werner and
 quasi-Werner families and for the two-level einselection benchmark state,
-and a 1-D minimizer finds the optimal measurement angle.
+and a 1-D minimizer finds the optimal measurement angle.  The closed forms
+and zurek_density take a scalar or an array of a.
 
 discord_profile and discord_min take one 4x4 state or an (S, 4, 4) stack.
 A stack goes through one stacked path: it is validated at once (a failing
@@ -34,12 +35,13 @@ from .qmatrix import (
     DEGENERATE_PROB,
     NumericalIntegrityError,
     _partial_trace,
+    _unit_interval,
     _xlogx,
     require_density_matrix,
     require_density_stack,
     von_neumann_entropy,
-    xlogx,
 )
+from .werner import _corner_weights
 
 # Angles used by the runtime check that discord does not depend on the
 # measurement phase (true for every X-form state this library builds).
@@ -112,15 +114,6 @@ def _squared(fn, x):
     x = np.asarray(x, dtype=float)
     values = (fn(v) ** 2 for v in x.ravel().tolist())
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
-
-
-def _unit_interval(a, what):
-    """a as a float array, raising ValueError unless every entry lies in [0, 1]."""
-    a = np.asarray(a, dtype=float)
-    bad = ~((0.0 <= a) & (a <= 1.0))  # NaN is bad
-    if bad.any():
-        raise ValueError(f"{what} must lie in [0, 1], got {float(a[bad][0])!r}")
-    return a
 
 
 def _scalar_or_array(x):
@@ -355,12 +348,13 @@ def zurek_density(a):
 
     Equal diagonal weight on |0,0> and |1,1> with off-diagonal coherence a/2
     between them, written in the fixed orthonormal basis of this library.
+    a is a scalar, giving one 4x4 matrix, or an array, giving shape
+    a.shape + (4, 4).
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"coherence parameter must lie in [0, 1], got {a!r}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 0.5
-    m[0, 3] = m[3, 0] = a / 2.0
+    a = _unit_interval(a, "coherence parameter")
+    m = np.zeros(a.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = 0.5
+    m[..., 0, 3] = m[..., 3, 0] = a / 2.0
     return m
 
 
@@ -389,8 +383,7 @@ def quasi_probabilities(a, p, theta):
     a and theta broadcast together; scalars give two floats.
     """
     a = np.asarray(a, dtype=float)
-    w1 = p.n_plus**2 / (4.0 * p.N_plus**4)
-    w4 = p.n_plus**2 / (4.0 * p.N_minus**4)
+    w1, w4 = _corner_weights(1.0, p)
     c2 = _squared(math.cos, theta)
     s2 = _squared(math.sin, theta)
     p0 = (1.0 - a) / 2.0 + a * (c2 * w1 + s2 * w4)
@@ -409,9 +402,8 @@ def discord_quasi_closed(a, p, theta):
     a = _unit_interval(a, "mixing parameter")
     if not isinstance(p, CatParams):
         raise TypeError(f"p must be CatParams, got {type(p).__name__}")
-    e1 = (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4)
-    e2 = (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4)
-    d = -_xlogx(e1) - _xlogx(e2)
+    w1, w4 = _corner_weights(a, p)
+    d = -_xlogx((1.0 - a) / 2.0 + w1) - _xlogx((1.0 - a) / 2.0 + w4)
     d = d + (3.0 * _xlogx((1.0 - a) / 4.0) + _xlogx((1.0 + 3.0 * a) / 4.0))
     for prob in quasi_probabilities(a, p, theta):
         # a branch below DEGENERATE_PROB contributes nothing
@@ -427,14 +419,14 @@ def werner_discord_closed(a):
     Independent of the measurement basis and of the mean photon number.
     The leading constant is +1: the conditional spectra are
     {(1-a)/2, (1+a)/2} at every basis, and S(rho_Y) = 1 bit, which fixes
-    the constant so that the fully mixed state gives exactly 0.
+    the constant so that the fully mixed state gives exactly 0.  a is a
+    scalar, giving a float, or an array.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {a!r}")
-    return (
+    a = _unit_interval(a, "mixing parameter")
+    return _scalar_or_array(
         1.0
-        + 3.0 * xlogx((1.0 - a) / 4.0)
-        + xlogx((1.0 + 3.0 * a) / 4.0)
-        - xlogx((1.0 - a) / 2.0)
-        - xlogx((1.0 + a) / 2.0)
+        + 3.0 * _xlogx((1.0 - a) / 4.0)
+        + _xlogx((1.0 + 3.0 * a) / 4.0)
+        - _xlogx((1.0 - a) / 2.0)
+        - _xlogx((1.0 + a) / 2.0)
     )

@@ -57,11 +57,6 @@ def _as_stack(m, name="matrix"):
     return (m, True) if m.ndim == 3 else (m[None], False)
 
 
-def _hermiticity_defect(m):
-    """max |M - M^dag| of each matrix of a (..., d, d) array."""
-    return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-
-
 def _first_failure(checks):
     """Index of the first matrix failing one of checks, and its first failing check's text.
 
@@ -86,18 +81,32 @@ def _raise_first(checks, stacked):
         raise ValueError((f"state {k}: " if stacked else "") + message)
 
 
+def _hermiticity_check(m, name):
+    """The Hermiticity check (max |M - M^dag| within HERMITICITY_TOL) of each matrix of a stack."""
+    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    return defect > HERMITICITY_TOL, lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})"
+
+
 def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
     """The Hermiticity, dimension and unit-trace checks of each matrix of a stack, for _first_failure.
 
     The dimension check, when dim is given, fails every matrix with the text wrong_dim.
     """
-    defect = _hermiticity_defect(m)
     tr = m.trace(axis1=-2, axis2=-1).real
-    checks = [(defect > HERMITICITY_TOL, lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})")]
+    checks = [_hermiticity_check(m, name)]
     if dim is not None and m.shape[-1] != dim:
         checks.append((np.ones(len(m), dtype=bool), lambda k: wrong_dim))
     checks.append((np.abs(tr - 1.0) > TRACE_TOL, lambda k: f"{name} must have unit trace, got {float(tr[k])!r}"))
     return checks
+
+
+def _unit_interval(a, what):
+    """a as a float array, raising ValueError unless every entry lies in [0, 1]."""
+    a = np.asarray(a, dtype=float)
+    bad = ~((0.0 <= a) & (a <= 1.0))  # NaN is bad
+    if bad.any():
+        raise ValueError(f"{what} must lie in [0, 1], got {float(a[bad][0])!r}")
+    return a
 
 
 def _eigvalsh(m):
@@ -115,11 +124,9 @@ def _eigvalsh(m):
         raise
 
 
-def require_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
+def require_hermitian(m, name="matrix"):
     m = _as_square(m, name)
-    defect = float(_hermiticity_defect(m))
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian (max |M - M^dag| = {defect:.3e})")
+    _raise_first([_hermiticity_check(m[None], name)], stacked=False)
     return m
 
 
@@ -181,7 +188,7 @@ def tensor(a, b):
     return np.kron(a, b)
 
 
-def _clamp_spectrum(vals, upper=None, what="eigenvalue"):
+def _clamp_spectrum(vals, upper=None):
     """vals with roundoff below 0 clamped to 0, and clipped to upper when given.
 
     vals is one spectrum, or a stack of them (S, d); the first failing
@@ -196,7 +203,7 @@ def _clamp_spectrum(vals, upper=None, what="eigenvalue"):
         if vals.ndim > 1:
             k = int(bad.argmax())
             low, prefix = low[k], f"state {k}: "
-        raise NumericalIntegrityError(f"{prefix}{what} {float(low)!r} below -{NEG_EIGENVALUE_TOL:g}", index=k)
+        raise NumericalIntegrityError(f"{prefix}eigenvalue {float(low)!r} below -{NEG_EIGENVALUE_TOL:g}", index=k)
     return vals.clip(0.0, upper)
 
 
@@ -210,9 +217,8 @@ def eigvals_hermitian(m):
     return np.sort(vals)[::-1]
 
 
-def sqrtm_psd(m):
-    """Hermitian square root of a PSD matrix, negative roundoff clamped to 0."""
-    m = require_hermitian(m)
+def _sqrtm_psd(m):
+    """Hermitian square root of a Hermitian PSD matrix, negative roundoff clamped to 0; m is not checked."""
     vals, vecs = np.linalg.eigh(m)
     vals = _clamp_spectrum(vals)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -236,7 +242,7 @@ def eigvals_general_product(a, b):
     b = require_hermitian(b, name="b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    gram_factor = sqrtm_psd(a) @ sqrtm_psd(b)
+    gram_factor = _sqrtm_psd(a) @ _sqrtm_psd(b)
     singular = np.linalg.svd(gram_factor, compute_uv=False)
     return np.sort(singular**2)[::-1]
 

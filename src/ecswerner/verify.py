@@ -21,9 +21,16 @@ from .discord import (
     zurek_density,
     zurek_discord,
 )
-from .entanglement import concurrence_closed, concurrence_mixed, spin_flip
-from .qmatrix import eigvals_general_product, eigvals_hermitian, partial_trace
-from .werner import WernerSpec, _plus_family_elements, spectrum_closed, werner_density, wootters_lambdas_closed
+from .entanglement import concurrence_closed, concurrence_mixed
+from .qmatrix import eigvals_hermitian, partial_trace
+from .werner import (
+    WernerSpec,
+    _plus_family_elements,
+    spectrum_closed,
+    werner_density,
+    werner_stack,
+    wootters_lambdas_closed,
+)
 
 A_GRID = tuple(np.linspace(0.0, 1.0, 11))
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -63,37 +70,23 @@ def _all_specs():
 def check_joint_spectrum():
     dev = 0.0
     for spec in _all_specs():
-        closed = spectrum_closed(spec).joint
-        numeric = eigvals_hermitian(werner_density(spec))
-        dev = max(dev, float(np.max(np.abs(closed - numeric))))
+        dev = max(dev, _max_dev(spectrum_closed(spec).joint, eigvals_hermitian(werner_density(spec))))
     return Check("joint-spectrum closed vs numeric", dev, 1e-10)
 
 
 def check_reduced_spectrum():
     dev = 0.0
     for spec in _all_specs():
-        closed = spectrum_closed(spec).reduced_y
         numeric = eigvals_hermitian(partial_trace(werner_density(spec), "Y"))
-        dev = max(dev, float(np.max(np.abs(closed - numeric))))
+        dev = max(dev, _max_dev(spectrum_closed(spec).reduced_y, numeric))
     return Check("reduced-Y-spectrum closed vs numeric", dev, 1e-10)
-
-
-def _lambdas_numeric(rho):
-    return np.sqrt(eigvals_general_product(rho, spin_flip(rho)))
 
 
 def check_lambdas():
     dev = 0.0
     for spec in _all_specs():
-        closed = wootters_lambdas_closed(spec)
-        numeric = _lambdas_numeric(werner_density(spec))
-        dev = max(dev, float(np.max(np.abs(closed - numeric))))
+        dev = max(dev, _max_dev(wootters_lambdas_closed(spec), concurrence_mixed(werner_density(spec)).lambdas))
     return Check("spin-flip lambdas closed vs numeric", dev, 1e-9)
-
-
-def _stack(family, a_values, p):
-    """The Werner-form states of family at each mixing weight, as an (S, 4, 4) stack."""
-    return np.array([werner_density(WernerSpec(family, float(a), p)) for a in a_values])
 
 
 def check_quasi_discord():
@@ -102,7 +95,7 @@ def check_quasi_discord():
         for mp in MEAN_PHOTON_GRID:
             p = cat_params(mp)
             closed = discord_quasi_closed(np.array(A_GRID)[:, None], p, THETA_GRID_19)
-            dev = max(dev, _max_dev(closed, discord_profile(_stack(family, A_GRID, p), THETA_GRID_19)))
+            dev = max(dev, _max_dev(closed, discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19)))
     return Check("quasi-Werner discord closed vs pipeline", dev, 1e-9)
 
 
@@ -111,7 +104,7 @@ def check_plus_family_equality():
     thetas = THETA_GRID_19[::3]
     for mp in MEAN_PHOTON_GRID:
         p = cat_params(mp)
-        psi, phi = (discord_profile(_stack(family, A_GRID, p), thetas, 0.4) for family in PLUS_FAMILIES)
+        psi, phi = (discord_profile(werner_stack(family, A_GRID, p), thetas, 0.4) for family in PLUS_FAMILIES)
         dev = max(dev, _max_dev(psi, phi))
     return Check("psi+ vs phi+ discord equality", dev, 1e-12)
 
@@ -119,9 +112,9 @@ def check_plus_family_equality():
 def check_werner_discord():
     dev = 0.0
     p = cat_params(1.0)
-    closed = np.array([werner_discord_closed(float(a)) for a in A_GRID])[:, None]
+    closed = werner_discord_closed(A_GRID)[:, None]
     for family in MINUS_FAMILIES:
-        dev = max(dev, _max_dev(discord_profile(_stack(family, A_GRID, p), THETA_GRID_19[::2], 1.0), closed))
+        dev = max(dev, _max_dev(discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19[::2], 1.0), closed))
     return Check("Werner discord closed vs pipeline", dev, 1e-9)
 
 
@@ -129,7 +122,7 @@ def check_werner_basis_independence():
     dev = 0.0
     p = cat_params(0.5)
     for family in MINUS_FAMILIES:
-        rhos = _stack(family, (0.2, 0.5, 0.9), p)
+        rhos = werner_stack(family, (0.2, 0.5, 0.9), p)
         # the first value of each state is theta = 0, phi = 0: the reference basis
         values = np.concatenate([discord_profile(rhos, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)], axis=1)
         dev = max(dev, _max_dev(values, values[:, :1]))
@@ -138,8 +131,7 @@ def check_werner_basis_independence():
 
 def check_zurek():
     closed = zurek_discord(np.array(A_GRID)[:, None], THETA_GRID_19)
-    rhos = np.array([zurek_density(float(a)) for a in A_GRID])
-    dev = _max_dev(closed, discord_profile(rhos, THETA_GRID_19, 1.0))
+    dev = _max_dev(closed, discord_profile(zurek_density(A_GRID), THETA_GRID_19, 1.0))
     return Check("einselection-state discord closed vs pipeline", dev, 1e-9)
 
 
@@ -189,7 +181,7 @@ def check_zero_crossing():
 def check_large_alpha_collapse():
     p = cat_params(5.0)
     a_grid = np.linspace(0.0, 1.0, 101)
-    werner = [werner_discord_closed(a) for a in a_grid.tolist()]
+    werner = werner_discord_closed(a_grid)
     dev = max(_max_dev(discord_quasi_closed(a_grid, p, theta), werner) for theta in THETA_GRID_19)
     return Check("large-alpha collapse to Werner form", dev, 1e-6)
 
@@ -206,7 +198,7 @@ def check_nonnegativity():
     worst = 0.0
     for family in StateFamily:
         for mp in MEAN_PHOTON_GRID:
-            values = discord_profile(_stack(family, A_GRID, cat_params(mp)), THETA_GRID_19[::3])
+            values = discord_profile(werner_stack(family, A_GRID, cat_params(mp)), THETA_GRID_19[::3])
             worst = max(worst, -float(values.min()))
     return Check("discord non-negativity", worst, 1e-9)
 
@@ -228,14 +220,13 @@ def convention_notes():
         p = cat_params(mp)
         for a in A_GRID:
             spec = WernerSpec(StateFamily.PSI_PLUS, float(a), p)
-            numeric = _lambdas_numeric(werner_density(spec))
+            numeric = concurrence_mixed(werner_density(spec)).lambdas
             d1, d4, r = _plus_family_elements(spec)
             b = (1.0 - float(a)) / 4.0
             root = math.sqrt(d1 * d4)
-            kept = np.sort([root + r, b, b, root - r])[::-1]
             flipped = np.sort([1.0 / root + r, b, b, 1.0 / root - r])[::-1]
-            dev_kept = max(dev_kept, float(np.max(np.abs(kept - numeric))))
-            dev_flipped = max(dev_flipped, float(np.max(np.abs(flipped - numeric))))
+            dev_kept = max(dev_kept, _max_dev(wootters_lambdas_closed(spec), numeric))
+            dev_flipped = max(dev_flipped, _max_dev(flipped, numeric))
     bracket_note = (
         "spin-flip lambda bracket: sqrt(d1*d4) reading max dev {:.3e} (kept); "
         "1/sqrt(d1*d4) reading max dev {:.3e} (rejected)".format(dev_kept, dev_flipped)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tempfile
@@ -273,25 +274,42 @@ def test_unwritable_path_exits_3(tmp_path, capsys):
     assert target in capsys.readouterr().err
 
 
-def test_failed_write_keeps_existing_output(tmp_path):
+def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
+    # the write fails once the temporary file is on disk: while writing the
+    # second block of rows, or when the finished file would replace the old one
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
+    table = cli._table(["a", "b"], [0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    seen = []
 
-    def rows():
-        yield (0.0, 1.0)
+    def fail(*args):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
         raise OSError("disk full")
 
+    def open_failing_in_second_block(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, calls = fh.write, itertools.count()
+        # the header (CSV) or the opening bracket (JSON), then the first block
+        fh.write = lambda text: fail() if next(calls) == 2 else write(text)
+        return fh
+
     for fmt in ("csv", "json"):
-        with pytest.raises(OSError, match="disk full"):
-            write_rows(str(out), fmt, ["a", "b"], rows())
-        assert out.read_text(encoding="utf-8") == "old contents\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        for module, attr, failing in ((cli, "open", open_failing_in_second_block), (cli.os, "replace", fail)):
+            with monkeypatch.context() as mp:
+                mp.setattr(module, attr, failing, raising=False)
+                with pytest.raises(OSError, match="disk full"):
+                    write_rows(str(out), fmt, ["a", "b"], table)
+            assert len(seen[-1]) == 2 and seen[-1][0].endswith(".tmp")
+            assert out.read_text(encoding="utf-8") == "old contents\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert len(seen) == 4
 
 
 def test_write_replaces_existing_output(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
-    write_rows(str(out), "csv", ["a", "b"], [(0.5, 1)])
+    write_rows(str(out), "csv", ["a", "b"], cli._table(["a", "b"], [0.5], [1]))
     assert out.read_text(encoding="utf-8") == "a,b\n0.5,1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -311,14 +329,13 @@ def test_writer_matches_per_value_formatting(rows, block_rows):
         "csv": "a,b,flag\n" + "".join(f"{'%.15g' % a},{'%.15g' % b},{flag}\n" for a, b, flag in rows),
         "json": json.dumps([dict(zip(columns, row)) for row in rows], separators=(",", ":")) + "\n",
     }
-    table = cli._table(columns, *(np.array(c) for c in zip(*rows))) if rows else rows
+    table = cli._table(columns, *([row[i] for row in rows] for i in range(len(columns))))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
         for fmt in ("csv", "json"):
-            for given_rows in (rows, table):
-                out = Path(tmp) / "out"
-                write_rows(str(out), fmt, columns, given_rows)
-                assert out.read_text(encoding="utf-8") == expected[fmt]
+            out = Path(tmp) / "out"
+            write_rows(str(out), fmt, columns, table)
+            assert out.read_text(encoding="utf-8") == expected[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -327,7 +344,7 @@ def test_write_rejects_non_finite_value(tmp_path, fmt, bad):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-finite value in column b at row 1"):
-        write_rows(str(out), fmt, ["a", "b"], [(0.5, 1.0), (0.5, bad)])
+        write_rows(str(out), fmt, ["a", "b"], cli._table(["a", "b"], [0.5, 0.5], [1.0, bad]))
     assert out.read_text(encoding="utf-8") == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -359,12 +376,15 @@ def random_state(seed):
 def test_phase_sensitive_state_in_curves_exits_4(tmp_path, capsys, monkeypatch):
     # a state whose discord depends on the measurement phase at one point of
     # the stacked minimization: the message names that point
-    real = cli.werner_density
+    real = cli.werner_stack
 
-    def density(spec):
-        return random_state(7) if spec.mixing == 0.75 and spec.params.mean_photon == 5.0 else real(spec)
+    def stack(family, a, p):
+        rhos = real(family, a, p)
+        if p.mean_photon == 5.0:
+            rhos[3] = random_state(7)  # a = 0.75
+        return rhos
 
-    monkeypatch.setattr(cli, "werner_density", density)
+    monkeypatch.setattr(cli, "werner_stack", stack)
     out = tmp_path / "qc.csv"
     argv = ["quasi-curves", "--alpha2", "1", "--alpha2", "5", "--a-steps", "5", "--out", str(out)]
     assert main(argv) == 4
@@ -379,17 +399,19 @@ def test_linalg_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch):
     # call: the batched LinAlgError names no matrix, so the failing one is
     # found state by state and the message names its a
     marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    real_density, real_eigvalsh = cli.werner_density, np.linalg.eigvalsh
+    real_stack, real_eigvalsh = cli.werner_stack, np.linalg.eigvalsh
 
-    def density(spec):
-        return marker.copy() if spec.mixing == 0.5 else real_density(spec)
+    def stack(family, a, p):
+        rhos = real_stack(family, a, p)
+        rhos[2] = marker  # a = 0.5
+        return rhos
 
     def eigvalsh(m):
         if m.shape[-2:] == marker.shape and np.all(m == marker, axis=(-2, -1)).any():
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigvalsh(m)
 
-    monkeypatch.setattr(cli, "werner_density", density)
+    monkeypatch.setattr(cli, "werner_stack", stack)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     out = tmp_path / "qs.csv"
     assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "5", "--out", str(out)]) == 4
@@ -404,12 +426,14 @@ def test_entropy_clamp_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch)
     # clamp fails at position 2 and the message names that state's a
     eps = 0.9e-10
     bad = np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex)
-    real = cli.werner_density
+    real = cli.werner_stack
 
-    def density(spec):
-        return bad if spec.mixing == 0.5 else real(spec)
+    def stack(family, a, p):
+        rhos = real(family, a, p)
+        rhos[2] = bad  # a = 0.5
+        return rhos
 
-    monkeypatch.setattr(cli, "werner_density", density)
+    monkeypatch.setattr(cli, "werner_stack", stack)
     out = tmp_path / "qs.csv"
     assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "5", "--out", str(out)]) == 4
     err = capsys.readouterr().err

@@ -613,6 +613,25 @@ def scalar_reference_quasi(a, p, theta):
     return d
 
 
+def scalar_reference_werner(a):
+    """werner_discord_closed by the scalar arithmetic the array form replaces."""
+    return (
+        1.0
+        + 3.0 * xlogx((1.0 - a) / 4.0)
+        + xlogx((1.0 + 3.0 * a) / 4.0)
+        - xlogx((1.0 - a) / 2.0)
+        - xlogx((1.0 + a) / 2.0)
+    )
+
+
+def scalar_reference_zurek_density(a):
+    """zurek_density by the one-matrix code the array form replaces."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = 0.5
+    m[0, 3] = m[3, 0] = a / 2.0
+    return m
+
+
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values).tolist()]
 
@@ -642,11 +661,29 @@ def test_closed_forms_over_arrays_match_scalar(a_values, mp, theta_values):
     assert [type(v) for v in quasi_probabilities(x, p, t)] == [float, float]
 
 
+@settings(max_examples=80, deadline=None)
+@given(mixings)
+def test_werner_closed_and_zurek_density_over_arrays_match_scalar(a_values):
+    a = np.array(a_values)
+    assert hexes(werner_discord_closed(a)) == [scalar_reference_werner(x).hex() for x in a_values]
+    assert hexes(werner_discord_closed(a.reshape(1, -1))) == hexes(werner_discord_closed(a))
+    expected = np.array([scalar_reference_zurek_density(x) for x in a_values])
+    assert np.array_equal(zurek_density(a).view(np.int64), expected.view(np.int64))
+    # scalars in: a float, and one 4x4 matrix
+    x = a_values[-1]
+    assert type(werner_discord_closed(x)) is float and werner_discord_closed(x).hex() == scalar_reference_werner(x).hex()
+    assert np.array_equal(zurek_density(x).view(np.int64), scalar_reference_zurek_density(x).view(np.int64))
+
+
 @pytest.mark.parametrize("bad", [-0.01, 1.5, math.nan])
 def test_closed_forms_reject_bad_entry_in_array(bad):
     a = np.array([0.0, 0.5, bad, 1.0])
     with pytest.raises(ValueError, match="must lie in"):
         zurek_discord(a, 0.3)
+    with pytest.raises(ValueError, match="mixing parameter must lie in"):
+        werner_discord_closed(a)
+    with pytest.raises(ValueError, match="coherence parameter must lie in"):
+        zurek_density(a)
     with pytest.raises(ValueError, match="must lie in"):
         discord_quasi_closed(a[:, None], cat_params(1.0), THETA_GRID)
 

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ecswerner import entanglement
+from ecswerner import entanglement, qmatrix
 from ecswerner.catstates import StateFamily, cat_params, concurrence_pure, ecs_concurrence, ecs_vector
 from ecswerner.discord import werner_discord_closed
 from ecswerner.entanglement import concurrence_closed, concurrence_mixed, eof, spin_flip
@@ -47,9 +47,12 @@ def test_spin_flip_swaps_outer_diagonal():
 
 def test_concurrence_validates_the_state_once():
     rho = werner_density(wspec(StateFamily.PSI_PLUS, 0.7, 0.5))
-    with mock.patch.object(entanglement, "require_density_matrix", wraps=entanglement.require_density_matrix) as check:
+    with mock.patch.object(entanglement, "require_density_matrix", wraps=entanglement.require_density_matrix) as check, \
+            mock.patch.object(qmatrix, "require_hermitian", wraps=qmatrix.require_hermitian) as hermitian:
         concurrence_mixed(rho)
     assert check.call_count == 1
+    # the two factors of the product spectrum, each once
+    assert hermitian.call_count == 2
 
 
 def test_werner_concurrence_vanishes_at_threshold():

@@ -3,10 +3,21 @@ import pytest
 
 from ecswerner.catstates import StateFamily, cat_params, ecs_vector
 from ecswerner.qmatrix import SIGMA_Y, density_from_vector, eigvals_hermitian, partial_trace, tensor
-from ecswerner.werner import WernerSpec, spectrum_closed, werner_density, wootters_lambdas_closed
+from ecswerner.werner import (
+    WernerSpec,
+    _plus_family_elements,
+    spectrum_closed,
+    werner_density,
+    werner_stack,
+    wootters_lambdas_closed,
+)
 
 A_GRID = np.linspace(0.0, 1.0, 11)
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
+# |alpha|^2 from the cutoff to 10, log spaced
+WIDE_MEAN_PHOTON_GRID = tuple(np.geomspace(1e-3, 10.0, 13).tolist())
+# 0 and 1 exactly, and values whose binary expansions do not terminate
+STACK_A_GRID = np.concatenate([np.linspace(0.0, 1.0, 21), [1e-3, 1.0 / 3.0, 0.7071067811865476, 1.0 - 1e-12]])
 
 SYSY = tensor(SIGMA_Y, SIGMA_Y)
 
@@ -28,6 +39,70 @@ def test_mixing_range_is_validated():
         spec(StateFamily.PSI_PLUS, 1.2, 1.0)
     with pytest.raises(ValueError):
         spec(StateFamily.PSI_PLUS, -0.1, 1.0)
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def reference_density(family, a, p):
+    """werner_density by the one-matrix scalar code the shared formula replaces."""
+    v = ecs_vector(family, p)
+    return (1.0 - a) * np.eye(4, dtype=complex) / 4.0 + a * density_from_vector(v)
+
+
+@pytest.mark.parametrize("family", list(StateFamily))
+def test_stack_matches_per_spec_density(family):
+    # every matrix of a stack equals the one-state builder bit for bit, and
+    # both equal the scalar code
+    for mp in WIDE_MEAN_PHOTON_GRID:
+        p = cat_params(mp)
+        expected = np.array([werner_density(WernerSpec(family, a, p)) for a in STACK_A_GRID.tolist()])
+        reference = np.array([reference_density(family, a, p) for a in STACK_A_GRID.tolist()])
+        assert np.array_equal(bits(expected), bits(reference))
+        stack = werner_stack(family, STACK_A_GRID, p)
+        assert stack.shape == (len(STACK_A_GRID), 4, 4)
+        assert np.array_equal(bits(stack), bits(expected))
+        for a, rho in zip(STACK_A_GRID.tolist(), expected):
+            assert werner_stack(family, a, p).shape == (4, 4)
+            assert np.array_equal(bits(werner_stack(family, a, p)), bits(rho))
+        grid = werner_stack(family, STACK_A_GRID.reshape(5, 5), p)
+        assert np.array_equal(bits(grid.reshape(-1, 4, 4)), bits(expected))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan])
+def test_stack_checks_mixing_range(bad):
+    with pytest.raises(ValueError, match=r"mixing parameter must lie in \[0, 1\], got "):
+        werner_stack(StateFamily.PSI_PLUS, [0.0, 0.5, bad], cat_params(1.0))
+    with pytest.raises(ValueError, match=r"mixing parameter must lie in \[0, 1\], got "):
+        werner_stack(StateFamily.PSI_PLUS, bad, cat_params(1.0))
+
+
+def test_corner_weight_sites_match_spelled_out_expressions():
+    # the corner weights a n+^2 / (4 N+-^4) keep the grouping they were
+    # written with at each site; the two sites in discord are compared with
+    # spelled-out scalar code in test_closed_forms_over_arrays_match_scalar
+    for mp in WIDE_MEAN_PHOTON_GRID:
+        p = cat_params(mp)
+        for a in STACK_A_GRID.tolist():
+            d1, d4, r = _plus_family_elements(spec(StateFamily.PSI_PLUS, a, mp))
+            assert d1.hex() == ((1.0 - a) / 4.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4)).hex()
+            assert d4.hex() == ((1.0 - a) / 4.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4)).hex()
+            assert r.hex() == (a * p.n_plus**2 / (4.0 * p.N_plus**2 * p.N_minus**2)).hex()
+            reduced = [
+                (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4),
+                (1.0 - a) / 2.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4),
+            ]
+            got = spectrum_closed(spec(StateFamily.PHI_PLUS, a, mp)).reduced_y
+            assert np.array_equal(bits(got), bits(np.sort(reduced)[::-1]))
+
+
+def test_maximally_entangled_lambdas_are_the_joint_spectrum():
+    for family in (StateFamily.PSI_MINUS, StateFamily.PHI_MINUS):
+        for a in STACK_A_GRID.tolist():
+            s = spec(family, a, 0.7)
+            expected = np.sort(np.array([(1.0 + 3.0 * a) / 4.0] + [(1.0 - a) / 4.0] * 3))[::-1]
+            assert np.array_equal(bits(wootters_lambdas_closed(s)), bits(expected))
 
 
 def test_fully_mixed_limit():
