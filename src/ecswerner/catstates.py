@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qmatrix import _unit_vector
+
 # Below this mean photon number the odd cat normalization 1/N-^4 = 4(1-x^2)^2
 # is dominated by cancellation error; the odd cat state itself is ill-defined
 # at alpha = 0.
@@ -114,9 +116,7 @@ def concurrence_pure(v):
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-component state vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"state vector must be normalized, got |v| = {norm!r}")
+    v = _unit_vector(v)
     c = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
     return float(min(c, 1.0))
 

@@ -34,11 +34,11 @@ from .catstates import CatParams
 from .qmatrix import (
     DEGENERATE_PROB,
     NumericalIntegrityError,
+    _density_states,
     _partial_trace,
     _unit_interval,
     _xlogx,
     require_density_matrix,
-    require_density_stack,
     von_neumann_entropy,
 )
 from .werner import _corner_weights
@@ -195,14 +195,6 @@ def conditional_states(rho, basis):
     )
 
 
-def _states(rho):
-    """A 4x4 state or an (S, 4, 4) stack as a validated stack, and whether rho was a stack."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 3:
-        return require_density_stack(rho, dim=4), True
-    return require_density_matrix(rho, dim=4)[None], False
-
-
 def _discord_parts(rhos):
     """S(rho_X) and the mutual information S(rho_X) + S(rho_Y) - S(rho_XY) of each state, as two (S,) arrays.
 
@@ -255,7 +247,7 @@ def discord_profile(rho, thetas, phi=0.0):
     eigensolve per subsystem, and the kernel measures at most
     MIN_SLICE_STATES states per call.
     """
-    rhos, stacked = _states(rho)
+    rhos, stacked = _density_states(rho)
     values = _sliced_discord(rhos, _discord_parts(rhos), np.reshape(thetas, -1), phi)
     return values if stacked else values[0]
 
@@ -289,7 +281,7 @@ def discord_min(rho):
     states x angles, are one call per slice of at most MIN_SLICE_STATES
     states.
     """
-    rhos, stacked = _states(rho)
+    rhos, stacked = _density_states(rho)
     parts = _discord_parts(rhos)
 
     # the phase probe: every PHI_PROBE_THETAS angle at every PHI_PROBE phase

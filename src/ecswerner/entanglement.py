@@ -1,4 +1,8 @@
-"""Mixed-state entanglement: spin flip, concurrence, entanglement of formation."""
+"""Mixed-state entanglement: spin flip, concurrence, entanglement of formation.
+
+spin_flip and concurrence_mixed take one 4x4 state or an (S, 4, 4) stack, as
+discord_profile does; a stack's values equal one call per state bit for bit.
+"""
 
 import math
 from dataclasses import dataclass
@@ -7,9 +11,9 @@ import numpy as np
 
 from .qmatrix import (
     SIGMA_Y,
+    _density_states,
+    _product_spectrum,
     binary_entropy,
-    eigvals_general_product,
-    require_density_matrix,
     tensor,
 )
 from .werner import wootters_lambdas_closed
@@ -24,26 +28,27 @@ class EntanglementResult:
     lambdas: np.ndarray  # the four spin-flip eigenvalues, descending
 
 
-def _spin_flip(rho):
-    """spin_flip of an already validated state."""
-    return _SY_SY @ rho.conj() @ _SY_SY
-
-
 def spin_flip(rho):
-    """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _spin_flip(require_density_matrix(rho, dim=4))
+    """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y), of one 4x4 state or each of a stack."""
+    rhos, stacked = _density_states(rho)
+    flipped = _SY_SY @ rhos.conj() @ _SY_SY
+    return flipped if stacked else flipped[0]
 
 
 def concurrence_mixed(rho):
     """Concurrence max{0, l1 - l2 - l3 - l4} of a two-qubit density matrix.
 
     The l_i are the non-negative square roots of the spectrum of
-    rho @ spin_flip(rho), in decreasing order.
+    rho @ spin_flip(rho), in decreasing order.  A stack gives a list of
+    results; spin_flip validates the state, once.
     """
-    rho = require_density_matrix(rho, dim=4)
-    lams = np.sqrt(eigvals_general_product(rho, _spin_flip(rho)))
-    c = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
-    return EntanglementResult(concurrence=c, eof=eof(c), lambdas=lams)
+    flipped = spin_flip(rho)
+    lams = np.sqrt(_product_spectrum(np.asarray(rho, dtype=complex), flipped))
+    results = []
+    for lam in lams.reshape(-1, 4):
+        c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+        results.append(EntanglementResult(concurrence=c, eof=eof(c), lambdas=lam))
+    return results if flipped.ndim == 3 else results[0]
 
 
 def eof(concurrence):

@@ -165,12 +165,26 @@ def require_density_stack(rhos, dim=None, name="rho"):
     return _require_density(rhos, dim, name, stacked=True)
 
 
-def density_from_vector(v):
-    """Projector |v><v| for a unit vector; Hermitian by construction."""
+def _density_states(rho):
+    """A 4x4 density matrix or an (S, 4, 4) stack as a validated stack, and whether rho was a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 3:
+        return require_density_stack(rho, dim=4), True
+    return require_density_matrix(rho, dim=4)[None], False
+
+
+def _unit_vector(v):
+    """v as a flat complex vector, raising ValueError unless its norm is 1 within 1e-12."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state vector must be normalized, got |v| = {norm!r}")
+    return v
+
+
+def density_from_vector(v):
+    """Projector |v><v| for a unit vector; Hermitian by construction."""
+    v = _unit_vector(v)
     return np.outer(v, v.conj())
 
 
@@ -210,18 +224,20 @@ def _clamp_spectrum(vals, upper=None):
 def eigvals_hermitian(m):
     """Real spectrum of a Hermitian matrix, sorted descending.
 
-    Raises ValueError if the input fails the Hermiticity check.
+    m is one matrix or an (S, d, d) stack, giving (S, d).  Raises ValueError if a matrix
+    fails the Hermiticity check, prefixed "state k: " in a stack; a LinAlgError carries k in its index.
     """
-    m = require_hermitian(m)
-    vals = np.linalg.eigvalsh(m)
-    return np.sort(vals)[::-1]
+    ms, stacked = _as_stack(m)
+    _raise_first([_hermiticity_check(ms, "matrix")], stacked)
+    vals = np.sort(_eigvalsh(ms), axis=-1)[:, ::-1]
+    return vals if stacked else vals[0]
 
 
 def _sqrtm_psd(m):
-    """Hermitian square root of a Hermitian PSD matrix, negative roundoff clamped to 0; m is not checked."""
+    """Hermitian square root of a Hermitian PSD matrix or stack, negative roundoff clamped to 0; m is not checked."""
     vals, vecs = np.linalg.eigh(m)
     vals = _clamp_spectrum(vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def eigvals_general_product(a, b):
@@ -242,9 +258,14 @@ def eigvals_general_product(a, b):
     b = require_hermitian(b, name="b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return _product_spectrum(a, b)
+
+
+def _product_spectrum(a, b):
+    """eigvals_general_product of one pair of matrices, or of each pair of two stacks, without its checks."""
     gram_factor = _sqrtm_psd(a) @ _sqrtm_psd(b)
     singular = np.linalg.svd(gram_factor, compute_uv=False)
-    return np.sort(singular**2)[::-1]
+    return np.sort(singular**2, axis=-1)[..., ::-1]
 
 
 def partial_trace(rho, keep):

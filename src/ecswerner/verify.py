@@ -35,6 +35,7 @@ from .werner import (
 A_GRID = tuple(np.linspace(0.0, 1.0, 11))
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 THETA_GRID_19 = tuple(np.linspace(0.0, math.pi, 19))
+ZERO_CROSSING_TOL = 1e-9
 
 PLUS_FAMILIES = (StateFamily.PSI_PLUS, StateFamily.PHI_PLUS)
 MINUS_FAMILIES = (StateFamily.PSI_MINUS, StateFamily.PHI_MINUS)
@@ -59,33 +60,28 @@ def _max_dev(x, y):
     return float(np.max(np.abs(np.subtract(x, y))))
 
 
-def _all_specs():
-    for family in StateFamily:
-        for mp in MEAN_PHOTON_GRID:
-            p = cat_params(mp)
-            for a in A_GRID:
-                yield WernerSpec(family=family, mixing=float(a), params=p)
+def _werner_grid(families=StateFamily):
+    """The grid's WernerSpecs, by family, |alpha|^2 and a, and their states, a werner_stack per (family, |alpha|^2)."""
+    params = [(family, cat_params(mp)) for family in families for mp in MEAN_PHOTON_GRID]
+    specs = [WernerSpec(family, float(a), p) for family, p in params for a in A_GRID]
+    return specs, np.concatenate([werner_stack(family, A_GRID, p) for family, p in params])
 
 
 def check_joint_spectrum():
-    dev = 0.0
-    for spec in _all_specs():
-        dev = max(dev, _max_dev(spectrum_closed(spec).joint, eigvals_hermitian(werner_density(spec))))
+    specs, rhos = _werner_grid()
+    dev = _max_dev([spectrum_closed(spec).joint for spec in specs], eigvals_hermitian(rhos))
     return Check("joint-spectrum closed vs numeric", dev, 1e-10)
 
 
 def check_reduced_spectrum():
-    dev = 0.0
-    for spec in _all_specs():
-        numeric = eigvals_hermitian(partial_trace(werner_density(spec), "Y"))
-        dev = max(dev, _max_dev(spectrum_closed(spec).reduced_y, numeric))
+    specs, rhos = _werner_grid()
+    dev = _max_dev([spectrum_closed(spec).reduced_y for spec in specs], eigvals_hermitian(partial_trace(rhos, "Y")))
     return Check("reduced-Y-spectrum closed vs numeric", dev, 1e-10)
 
 
 def check_lambdas():
-    dev = 0.0
-    for spec in _all_specs():
-        dev = max(dev, _max_dev(wootters_lambdas_closed(spec), concurrence_mixed(werner_density(spec)).lambdas))
+    specs, rhos = _werner_grid()
+    dev = _max_dev([wootters_lambdas_closed(spec) for spec in specs], [res.lambdas for res in concurrence_mixed(rhos)])
     return Check("spin-flip lambdas closed vs numeric", dev, 1e-9)
 
 
@@ -136,36 +132,26 @@ def check_zurek():
 
 
 def check_concurrence():
-    dev = 0.0
-    for spec in _all_specs():
-        closed = concurrence_closed(spec)
-        numeric = concurrence_mixed(werner_density(spec)).concurrence
-        dev = max(dev, abs(closed - numeric))
+    specs, rhos = _werner_grid()
+    dev = _max_dev([concurrence_closed(spec) for spec in specs], [res.concurrence for res in concurrence_mixed(rhos)])
     return Check("concurrence closed vs numeric", dev, 1e-9)
 
 
 def check_werner_threshold():
-    dev = 0.0
-    p = cat_params(2.0)
-    for family in MINUS_FAMILIES:
-        for a in np.linspace(0.0, 1.0, 41):
-            c = concurrence_mixed(werner_density(WernerSpec(family, float(a), p))).concurrence
-            dev = max(dev, abs(c - max(0.0, (3.0 * a - 1.0) / 2.0)))
+    a_grid = np.linspace(0.0, 1.0, 41)
+    rhos = np.concatenate([werner_stack(family, a_grid, cat_params(2.0)) for family in MINUS_FAMILIES])
+    expected = np.tile(np.maximum(0.0, (3.0 * a_grid - 1.0) / 2.0), len(MINUS_FAMILIES))
+    dev = _max_dev([res.concurrence for res in concurrence_mixed(rhos)], expected)
     return Check("Werner concurrence threshold (3a-1)/2", dev, 1e-10)
 
 
-def concurrence_zero_crossing(mean_photon, tol=1e-9):
+def concurrence_zero_crossing(mean_photon):
     """Bisect the mixing parameter where the psi+ concurrence turns on."""
     p = cat_params(mean_photon)
-
-    def positive(a):
-        spec = WernerSpec(StateFamily.PSI_PLUS, a, p)
-        return concurrence_mixed(werner_density(spec)).concurrence > 0.0
-
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > ZERO_CROSSING_TOL:
         mid = (lo + hi) / 2.0
-        if positive(mid):
+        if concurrence_mixed(werner_density(WernerSpec(StateFamily.PSI_PLUS, mid, p))).concurrence > 0.0:
             hi = mid
         else:
             lo = mid
@@ -187,10 +173,7 @@ def check_large_alpha_collapse():
 
 
 def check_psd():
-    worst = 0.0
-    for spec in _all_specs():
-        low = float(eigvals_hermitian(werner_density(spec))[-1])
-        worst = max(worst, -low)
+    worst = max(0.0, -float(eigvals_hermitian(_werner_grid()[1])[:, -1].min()))
     return Check("Werner density PSD (min eigenvalue)", worst, 1e-12)
 
 
@@ -216,17 +199,14 @@ def convention_notes():
     # geometric-mean vs reciprocal bracket in the spin-flip lambda pair
     dev_kept = 0.0
     dev_flipped = 0.0
-    for mp in MEAN_PHOTON_GRID:
-        p = cat_params(mp)
-        for a in A_GRID:
-            spec = WernerSpec(StateFamily.PSI_PLUS, float(a), p)
-            numeric = concurrence_mixed(werner_density(spec)).lambdas
-            d1, d4, r = _plus_family_elements(spec)
-            b = (1.0 - float(a)) / 4.0
-            root = math.sqrt(d1 * d4)
-            flipped = np.sort([1.0 / root + r, b, b, 1.0 / root - r])[::-1]
-            dev_kept = max(dev_kept, _max_dev(wootters_lambdas_closed(spec), numeric))
-            dev_flipped = max(dev_flipped, _max_dev(flipped, numeric))
+    specs, rhos = _werner_grid((StateFamily.PSI_PLUS,))
+    for spec, res in zip(specs, concurrence_mixed(rhos)):
+        d1, d4, r = _plus_family_elements(spec)
+        b = (1.0 - spec.mixing) / 4.0
+        root = math.sqrt(d1 * d4)
+        flipped = np.sort([1.0 / root + r, b, b, 1.0 / root - r])[::-1]
+        dev_kept = max(dev_kept, _max_dev(wootters_lambdas_closed(spec), res.lambdas))
+        dev_flipped = max(dev_flipped, _max_dev(flipped, res.lambdas))
     bracket_note = (
         "spin-flip lambda bracket: sqrt(d1*d4) reading max dev {:.3e} (kept); "
         "1/sqrt(d1*d4) reading max dev {:.3e} (rejected)".format(dev_kept, dev_flipped)

@@ -3,10 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecswerner import entanglement, qmatrix
-from ecswerner.catstates import StateFamily, cat_params, concurrence_pure, ecs_concurrence, ecs_vector
-from ecswerner.discord import werner_discord_closed
+from ecswerner import qmatrix
+from ecswerner.catstates import ALPHA2_MIN, StateFamily, cat_params, concurrence_pure, ecs_concurrence, ecs_vector
+from ecswerner.discord import werner_discord_closed, zurek_density
 from ecswerner.entanglement import concurrence_closed, concurrence_mixed, eof, spin_flip
 from ecswerner.qmatrix import density_from_vector
 from ecswerner.werner import WernerSpec, werner_density
@@ -20,6 +22,23 @@ EOF_AT_HALF = 0.35457890266526988
 
 def wspec(family, a, mp):
     return WernerSpec(family, a, cat_params(mp))
+
+
+def hexes(values):
+    """Every float of values (complex ones as real and imaginary part) as float hex."""
+    floats = np.ascontiguousarray(values)
+    return [v.hex() for v in floats.view(float).ravel().tolist()]
+
+
+@st.composite
+def entangled_states(draw):
+    """A Werner or quasi-Werner state of any family at |alpha|^2 in [1e-3, 10], or an einselection state."""
+    a = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return zurek_density(a)
+    family = draw(st.sampled_from(list(StateFamily)))
+    mp = max(ALPHA2_MIN, 10.0 ** draw(st.floats(-3.0, 1.0)))
+    return werner_density(wspec(family, a, mp))
 
 
 # -- spin flip -------------------------------------------------------------------
@@ -43,16 +62,47 @@ def test_spin_flip_swaps_outer_diagonal():
     assert abs(flipped[0, 3] - rho[0, 3]) < 1e-14  # corner preserved
 
 
+# -- stacks ----------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(entangled_states(), min_size=1, max_size=40))
+def test_stacked_concurrence_matches_per_state(states):
+    # one stacked call gives every state exactly the result it gets alone
+    stack = np.array(states)
+    stacked = concurrence_mixed(stack)
+    singles = [concurrence_mixed(rho) for rho in states]
+    assert isinstance(stacked, list) and len(stacked) == len(states)
+    for field in ("concurrence", "eof", "lambdas"):
+        assert [hexes(getattr(res, field)) for res in stacked] == [hexes(getattr(res, field)) for res in singles]
+    flipped = spin_flip(stack)
+    assert flipped.shape == stack.shape
+    assert hexes(flipped) == hexes([spin_flip(rho) for rho in states])
+
+
+@pytest.mark.parametrize("fn", [concurrence_mixed, spin_flip])
+def test_stack_names_its_failing_state(fn):
+    good = werner_density(wspec(StateFamily.PSI_PLUS, 0.7, 0.5))
+    bad = good.copy()
+    bad[0, 0] += 0.1
+    with pytest.raises(ValueError, match=r"^state 2: rho must have unit trace"):
+        fn(np.array([good, good, bad, good]))
+    with pytest.raises(ValueError, match=r"^rho must have unit trace"):
+        fn(bad)
+
+
 # -- concurrence -----------------------------------------------------------------
 
 def test_concurrence_validates_the_state_once():
     rho = werner_density(wspec(StateFamily.PSI_PLUS, 0.7, 0.5))
-    with mock.patch.object(entanglement, "require_density_matrix", wraps=entanglement.require_density_matrix) as check, \
+    with mock.patch.object(qmatrix, "require_density_matrix", wraps=qmatrix.require_density_matrix) as check, \
+            mock.patch.object(qmatrix, "require_density_stack", wraps=qmatrix.require_density_stack) as stack_check, \
             mock.patch.object(qmatrix, "require_hermitian", wraps=qmatrix.require_hermitian) as hermitian:
         concurrence_mixed(rho)
-    assert check.call_count == 1
-    # the two factors of the product spectrum, each once
-    assert hermitian.call_count == 2
+        assert (check.call_count, stack_check.call_count) == (1, 0)
+        concurrence_mixed(np.array([rho, rho]))
+        assert (check.call_count, stack_check.call_count) == (1, 1)
+    # the product spectrum of a validated state is not checked again
+    assert hermitian.call_count == 0
 
 
 def test_werner_concurrence_vanishes_at_threshold():

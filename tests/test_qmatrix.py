@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecswerner.catstates import StateFamily, cat_params, ecs_vector
+from ecswerner.catstates import StateFamily, cat_params, concurrence_pure, ecs_vector
 from ecswerner.qmatrix import (
     SIGMA_X,
     SIGMA_Y,
@@ -76,8 +76,32 @@ def test_eigvals_quasi_werner_matrix():
 
 def test_eigvals_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian"):
         eigvals_hermitian(m)
+    with pytest.raises(ValueError, match=r"^state 1: matrix is not Hermitian"):
+        eigvals_hermitian(np.array([SIGMA_X, m, m]))
+
+
+def test_eigvals_of_a_stack_carry_the_failing_index(monkeypatch):
+    # the batched LinAlgError names no matrix; the one that fails alone is found
+    marker = np.diag([0.1, 0.2]).astype(complex)
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh(m):
+        if np.all(m == marker, axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        eigvals_hermitian(np.array([SIGMA_X, SIGMA_Z, marker]))
+    assert info.value.index == 2
+
+
+@pytest.mark.parametrize("fn", [density_from_vector, concurrence_pure])
+def test_state_vector_must_be_normalized(fn):
+    with pytest.raises(ValueError, match=r"^state vector must be normalized, got \|v\| = 1\.4142"):
+        fn(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -229,6 +253,16 @@ def test_eigendecomposition_sums(rho):
     vals = eigvals_hermitian(rho)
     assert abs(vals.sum() - np.trace(rho).real) < 1e-10
     assert abs((vals**2).sum() - np.trace(rho @ rho).real) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(density_matrices(), min_size=1, max_size=40))
+def test_stacked_eigvals_match_per_matrix(rhos):
+    stacked = eigvals_hermitian(np.array(rhos))
+    assert stacked.shape == (len(rhos), 4)
+    assert [v.hex() for v in stacked.ravel().tolist()] == [
+        v.hex() for rho in rhos for v in eigvals_hermitian(rho).tolist()
+    ]
 
 
 @settings(max_examples=60, deadline=None)
