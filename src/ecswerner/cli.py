@@ -53,25 +53,34 @@ class SweepPointError(Exception):
 
 
 @contextlib.contextmanager
-def _sweep_point(mp, a_values):
+def _sweep_point(mean_photons, a_values):
     """Re-raise a numerical failure in the block as SweepPointError.
 
-    a_values are the mixing parameters of the states the block handles, in
-    stack order.  The message names the a of the failing state when the
-    error carries its index (or the block handles one state), and the
-    block's a range otherwise.
+    The block handles one state per (|alpha|^2, a) point of mean_photons x
+    a_values, in stack order, a fastest.  The message names the point of
+    the failing state k, (mean_photons[k // A], a_values[k % A]) for A a
+    values, when the error carries k in its index (or the block handles
+    one state), and the ranges the block covers otherwise.
     """
     try:
         yield
     except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
         index = getattr(exc, "index", None)
-        if index is None and len(a_values) == 1:
+        if index is None and len(mean_photons) * len(a_values) == 1:
             index = 0
         if index is None:
-            where = f"a in [{_fmt(a_values[0])}, {_fmt(a_values[-1])}]"
+            where = f"{_span('|alpha|^2', mean_photons)}, {_span('a', a_values)}"
         else:
-            where = f"a = {_fmt(a_values[index])}"
-        raise SweepPointError(f"numerical failure at |alpha|^2 = {_fmt(mp)}, {where}: {exc}") from exc
+            m, k = divmod(index, len(a_values))
+            where = f"|alpha|^2 = {_fmt(mean_photons[m])}, a = {_fmt(a_values[k])}"
+        raise SweepPointError(f"numerical failure at {where}: {exc}") from exc
+
+
+def _span(name, values):
+    """name = v for one value, name in [first, last] for several."""
+    if len(values) == 1:
+        return f"{name} = {_fmt(values[0])}"
+    return f"{name} in [{_fmt(values[0])}, {_fmt(values[-1])}]"
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ def quasi_surface_rows(cfg):
     closed, at_zero, piped = [], [], []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
-        with _sweep_point(mp, a_values):
+        with _sweep_point((mp,), a_values):
             piped.append(discord_profile(werner_stack(cfg.family, cfg.a_grid, p), cfg.theta_grid))
         closed.append(discord_quasi_closed(a_col, p, cfg.theta_grid))
         at_zero.append(discord_quasi_closed(a_col, p, 0.0))
@@ -139,14 +148,12 @@ def werner_curves_rows(cfg):
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
     a_values = cfg.a_grid.tolist()
-    e, delta = [], []
-    for mp in cfg.mean_photon_list:
-        p = cat_params(mp)
-        with _sweep_point(mp, a_values):
-            minima = discord_min(werner_stack(cfg.family, cfg.a_grid, p))
-        e += [eof(concurrence_closed(WernerSpec(cfg.family, a, p))) for a in a_values]
-        delta += [res.value for res in minima]
-    e, delta = np.array(e), np.array(delta)
+    params = [cat_params(mp) for mp in cfg.mean_photon_list]
+    # one lockstep minimization over every (|alpha|^2, a) state, in row order
+    with _sweep_point(cfg.mean_photon_list, a_values):
+        minima = discord_min(np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in params]))
+    e = np.array([eof(concurrence_closed(WernerSpec(cfg.family, a, p))) for p in params for a in a_values])
+    delta = np.array([res.value for res in minima])
     return columns, _table(columns, *_grid(cfg.mean_photon_list, cfg.a_grid), e, delta, delta - e)
 
 

@@ -15,14 +15,21 @@ state k is named "state k: " in the message), the entropies of its joint
 and reduced states come from one eigensolve each, and its values equal
 those of one call per state bit for bit.  discord_min minimizes a stack in
 lockstep: each kernel call (phase probe, coarse scan, golden-section
-step, final evaluation) covers many states at once.  The many-angle
-calls, a profile and discord_min's probe and scan, take at most
-MIN_SLICE_STATES states each, which caps the kernel's temporaries.
+step, final evaluation) covers many states at once.  Every state starts
+from the same bracket width and stops at the same tolerance, so the
+number of golden-section steps does not grow with the stack: the
+quasi-curves sweep minimizes all of its (|alpha|^2, a) states in one
+call.  The many-angle calls, a profile and discord_min's probe and scan,
+take at most MIN_SLICE_STATES states each, which caps the kernel's
+temporaries.
 
 The kernel multiplies real arrays when every phase is zero and every state
 is real, which covers every sweep and every minimizer step on the states
 this library builds; its blocks then have the same bits as the complex
 einsum it otherwise runs (a phase probe, phi != 0, or a complex state).
+The real contraction builds each block entry on its own, from one entry
+of rho per state times contiguous arrays of projector components, with
+the einsum's products and sum order.
 """
 
 import math
@@ -109,9 +116,11 @@ def _squared(fn, x):
 
     Goes through Python floats: numpy's sin and cos match math's, but
     its power and square differ from libm's pow in the last bit on about
-    one argument in a thousand.
+    one argument in a thousand.  A 0-d input gives a numpy float.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.float64(fn(float(x)) ** 2)
     values = (fn(v) ** 2 for v in x.ravel().tolist())
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
@@ -126,15 +135,17 @@ def _real_blocks(rhos, vecs):
 
     The real part of the complex einsum in _measure, computed in einsum's
     own order: each term is (rho[s, a, b, c, d] * v_b) * v_d, and the four
-    terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).
+    terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).  Each block entry
+    (a, c) is built on its own from contiguous (S|1, n, 2) components v_b,
+    one scalar of rho per state and term.
     """
-    r = rhos.real.reshape(-1, 1, 1, 2, 2, 2, 2)
-    v = vecs.real[..., None, None]
-
-    def term(b, d):
-        return (r[..., :, b, :, d] * v[..., b, :, :]) * v[..., d, :, :]
-
-    return (term(0, 0) + term(0, 1)) + (term(1, 0) + term(1, 1))
+    r = rhos.real.reshape(-1, 2, 2, 2, 2)
+    v = [np.ascontiguousarray(vecs.real[..., b]) for b in (0, 1)]
+    blocks = np.empty(np.broadcast_shapes((len(r), 1, 1), v[0].shape) + (2, 2))
+    for a, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t = [(r[:, a, b, c, d, None, None] * v[b]) * v[d] for b in (0, 1) for d in (0, 1)]
+        blocks[..., a, c] = (t[0] + t[1]) + (t[2] + t[3])
+    return blocks
 
 
 def _measure(rhos, thetas, phis):
@@ -252,16 +263,22 @@ def discord_profile(rho, thetas, phi=0.0):
     return values if stacked else values[0]
 
 
-def _sliced_discord(rhos, parts, thetas, phis):
-    """Discord of every state at the angles shared by all, shape (S, n).
+def _discord_slices(rhos, parts, thetas, phis):
+    """Discord at the angles shared by all states, one (slice, (s, n) values) pair per slice of states.
 
     The kernel sees at most MIN_SLICE_STATES states per call, which caps
     its temporaries for the many-angle calls.
     """
-    values = np.empty((len(rhos), len(thetas)))
     for start in range(0, len(rhos), MIN_SLICE_STATES):
         part = slice(start, start + MIN_SLICE_STATES)
-        values[part] = _discord(tuple(v[part] for v in parts), _measure(rhos[part], thetas, phis)[2])
+        yield part, _discord(tuple(v[part] for v in parts), _measure(rhos[part], thetas, phis)[2])
+
+
+def _sliced_discord(rhos, parts, thetas, phis):
+    """Discord of every state at the angles shared by all, shape (S, n), measured in slices."""
+    values = np.empty((len(rhos), len(thetas)))
+    for part, sliced in _discord_slices(rhos, parts, thetas, phis):
+        values[part] = sliced
     return values
 
 
@@ -299,10 +316,12 @@ def discord_min(rho):
             index=k,
         )
 
+    # the coarse scan keeps each state's grid minimum, not its whole row
     grid = np.linspace(0.0, math.pi, THETA_COARSE_STEPS)
-    values = _sliced_discord(rhos, parts, grid, 0.0)
-    k = np.argmin(values, axis=1)
-    k_value = values[np.arange(len(rhos)), k]
+    k, k_value = np.empty(len(rhos), dtype=np.intp), np.empty(len(rhos))
+    for part, values in _discord_slices(rhos, parts, grid, 0.0):
+        k[part] = np.argmin(values, axis=1)
+        k_value[part] = values[np.arange(len(values)), k[part]]
 
     # golden-section search on [grid[k-1], grid[k+1]], one kernel call per
     # step for every state whose bracket is still wider than the tolerance

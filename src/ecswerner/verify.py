@@ -60,6 +60,12 @@ def _max_dev(x, y):
     return float(np.max(np.abs(np.subtract(x, y))))
 
 
+def _worst(deviations):
+    """The largest of the deviations, NaN if any is NaN (max() keeps a number over a later NaN)."""
+    deviations = list(deviations)
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+
+
 def _werner_grid(families=StateFamily):
     """The grid's WernerSpecs, by family, |alpha|^2 and a, and their states, a werner_stack per (family, |alpha|^2)."""
     params = [(family, cat_params(mp)) for family in families for mp in MEAN_PHOTON_GRID]
@@ -86,43 +92,44 @@ def check_lambdas():
 
 
 def check_quasi_discord():
-    dev = 0.0
+    devs = []
     for family in PLUS_FAMILIES:
         for mp in MEAN_PHOTON_GRID:
             p = cat_params(mp)
             closed = discord_quasi_closed(np.array(A_GRID)[:, None], p, THETA_GRID_19)
-            dev = max(dev, _max_dev(closed, discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19)))
-    return Check("quasi-Werner discord closed vs pipeline", dev, 1e-9)
+            devs.append(_max_dev(closed, discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19)))
+    return Check("quasi-Werner discord closed vs pipeline", _worst(devs), 1e-9)
 
 
 def check_plus_family_equality():
-    dev = 0.0
+    devs = []
     thetas = THETA_GRID_19[::3]
     for mp in MEAN_PHOTON_GRID:
         p = cat_params(mp)
         psi, phi = (discord_profile(werner_stack(family, A_GRID, p), thetas, 0.4) for family in PLUS_FAMILIES)
-        dev = max(dev, _max_dev(psi, phi))
-    return Check("psi+ vs phi+ discord equality", dev, 1e-12)
+        devs.append(_max_dev(psi, phi))
+    return Check("psi+ vs phi+ discord equality", _worst(devs), 1e-12)
 
 
 def check_werner_discord():
-    dev = 0.0
     p = cat_params(1.0)
     closed = werner_discord_closed(A_GRID)[:, None]
-    for family in MINUS_FAMILIES:
-        dev = max(dev, _max_dev(discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19[::2], 1.0), closed))
+    dev = _worst(
+        _max_dev(discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19[::2], 1.0), closed)
+        for family in MINUS_FAMILIES
+    )
     return Check("Werner discord closed vs pipeline", dev, 1e-9)
 
 
 def check_werner_basis_independence():
-    dev = 0.0
+    devs = []
     p = cat_params(0.5)
     for family in MINUS_FAMILIES:
         rhos = werner_stack(family, (0.2, 0.5, 0.9), p)
         # the first value of each state is theta = 0, phi = 0: the reference basis
         values = np.concatenate([discord_profile(rhos, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)], axis=1)
-        dev = max(dev, _max_dev(values, values[:, :1]))
-    return Check("Werner discord basis independence", dev, 1e-10)
+        devs.append(_max_dev(values, values[:, :1]))
+    return Check("Werner discord basis independence", _worst(devs), 1e-10)
 
 
 def check_zurek():
@@ -168,22 +175,22 @@ def check_large_alpha_collapse():
     p = cat_params(5.0)
     a_grid = np.linspace(0.0, 1.0, 101)
     werner = werner_discord_closed(a_grid)
-    dev = max(_max_dev(discord_quasi_closed(a_grid, p, theta), werner) for theta in THETA_GRID_19)
+    dev = _worst(_max_dev(discord_quasi_closed(a_grid, p, theta), werner) for theta in THETA_GRID_19)
     return Check("large-alpha collapse to Werner form", dev, 1e-6)
 
 
 def check_psd():
-    worst = max(0.0, -float(eigvals_hermitian(_werner_grid()[1])[:, -1].min()))
+    worst = _worst([0.0, -float(eigvals_hermitian(_werner_grid()[1])[:, -1].min())])
     return Check("Werner density PSD (min eigenvalue)", worst, 1e-12)
 
 
 def check_nonnegativity():
-    worst = 0.0
+    negatives = [0.0]
     for family in StateFamily:
         for mp in MEAN_PHOTON_GRID:
             values = discord_profile(werner_stack(family, A_GRID, cat_params(mp)), THETA_GRID_19[::3])
-            worst = max(worst, -float(values.min()))
-    return Check("discord non-negativity", worst, 1e-9)
+            negatives.append(-float(values.min()))
+    return Check("discord non-negativity", _worst(negatives), 1e-9)
 
 
 def convention_notes():
@@ -197,19 +204,18 @@ def convention_notes():
     )
 
     # geometric-mean vs reciprocal bracket in the spin-flip lambda pair
-    dev_kept = 0.0
-    dev_flipped = 0.0
+    dev_kept, dev_flipped = [], []
     specs, rhos = _werner_grid((StateFamily.PSI_PLUS,))
     for spec, res in zip(specs, concurrence_mixed(rhos)):
         d1, d4, r = _plus_family_elements(spec)
         b = (1.0 - spec.mixing) / 4.0
         root = math.sqrt(d1 * d4)
         flipped = np.sort([1.0 / root + r, b, b, 1.0 / root - r])[::-1]
-        dev_kept = max(dev_kept, _max_dev(wootters_lambdas_closed(spec), res.lambdas))
-        dev_flipped = max(dev_flipped, _max_dev(flipped, res.lambdas))
+        dev_kept.append(_max_dev(wootters_lambdas_closed(spec), res.lambdas))
+        dev_flipped.append(_max_dev(flipped, res.lambdas))
     bracket_note = (
         "spin-flip lambda bracket: sqrt(d1*d4) reading max dev {:.3e} (kept); "
-        "1/sqrt(d1*d4) reading max dev {:.3e} (rejected)".format(dev_kept, dev_flipped)
+        "1/sqrt(d1*d4) reading max dev {:.3e} (rejected)".format(_worst(dev_kept), _worst(dev_flipped))
     )
     return [const_note, bracket_note]
 

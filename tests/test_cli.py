@@ -375,7 +375,8 @@ def random_state(seed):
 
 def test_phase_sensitive_state_in_curves_exits_4(tmp_path, capsys, monkeypatch):
     # a state whose discord depends on the measurement phase at one point of
-    # the stacked minimization: the message names that point
+    # the sweep's one stacked minimization: the message names that point, and
+    # the kernel's prefix its position in the stack of all 2 x 5 states
     real = cli.werner_stack
 
     def stack(family, a, p):
@@ -390,7 +391,86 @@ def test_phase_sensitive_state_in_curves_exits_4(tmp_path, capsys, monkeypatch):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: numerical failure at |alpha|^2 = 5, a = 0.75: state 3: discord varies")
+    assert err.startswith("error: numerical failure at |alpha|^2 = 5, a = 0.75: state 8: discord varies")
+    assert not out.exists()
+
+
+def failing_eigvalsh(monkeypatch, marker):
+    """Make np.linalg.eigvalsh raise LinAlgError on any stack that holds marker."""
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(m):
+        if m.shape[-2:] == marker.shape and np.all(m == marker, axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
+def replace_last_state(monkeypatch, mean_photon, state):
+    """Put state in place of the last a of cli.werner_stack at mean_photon."""
+    real = cli.werner_stack
+
+    def stack(family, a, p):
+        rhos = real(family, a, p)
+        if p.mean_photon == mean_photon:
+            rhos[-1] = state
+        return rhos
+
+    monkeypatch.setattr(cli, "werner_stack", stack)
+
+
+CURVES_ARGV = ["quasi-curves", "--alpha2", "0.5", "--alpha2", "2", "--alpha2", "5", "--a-min", "0.1", "--a-max", "0.9",
+               "--a-steps", "3"]
+
+
+def test_linalg_failure_in_curves_exits_4(tmp_path, capsys, monkeypatch):
+    # the eigensolver fails on the last state of the last mean photon number,
+    # position 8 of the sweep's one stack: the message names its point
+    marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    replace_last_state(monkeypatch, 5.0, marker)
+    failing_eigvalsh(monkeypatch, marker)
+    out = tmp_path / "qc.csv"
+    assert main([*CURVES_ARGV, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: numerical failure at |alpha|^2 = 5, a = 0.9: Eigenvalues did not converge\n"
+    assert not out.exists()
+
+
+def test_entropy_clamp_failure_in_curves_exits_4(tmp_path, capsys, monkeypatch):
+    # the reduced X state of the last state of the last mean photon number has
+    # the eigenvalue -1.8e-10: the stacked entropy's clamp fails at position 8
+    eps = 0.9e-10
+    replace_last_state(monkeypatch, 5.0, np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex))
+    out = tmp_path / "qc.csv"
+    assert main([*CURVES_ARGV, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: numerical failure at |alpha|^2 = 5, a = 0.9: state 8: eigenvalue -1.8")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (CURVES_ARGV, "|alpha|^2 in [0.5, 5], a in [0.1, 0.9]"),
+        (["quasi-curves", "--alpha2", "0.5", "--alpha2", "2", "--a-min", "0.3", "--a-max", "0.3", "--a-steps", "1"],
+         "|alpha|^2 in [0.5, 2], a = 0.3"),
+        (["quasi-curves", "--alpha2", "2", "--a-steps", "3"], "|alpha|^2 = 2, a in [0, 1]"),
+        (["quasi-curves", "--alpha2", "2", "--a-min", "0.3", "--a-max", "0.3", "--a-steps", "1"],
+         "|alpha|^2 = 2, a = 0.3"),
+    ],
+)
+def test_failure_without_index_names_the_ranges(tmp_path, capsys, monkeypatch, argv, where):
+    # an error that names no state: the message names the ranges the stack
+    # covers, or the point itself for a one-state stack
+    def discord_min(rhos):
+        raise cli.NumericalIntegrityError("minimizer failed")
+
+    monkeypatch.setattr(cli, "discord_min", discord_min)
+    out = tmp_path / "qc.csv"
+    assert main([*argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: numerical failure at {where}: minimizer failed\n"
     assert not out.exists()
 
 
@@ -399,20 +479,15 @@ def test_linalg_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch):
     # call: the batched LinAlgError names no matrix, so the failing one is
     # found state by state and the message names its a
     marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    real_stack, real_eigvalsh = cli.werner_stack, np.linalg.eigvalsh
+    real_stack = cli.werner_stack
 
     def stack(family, a, p):
         rhos = real_stack(family, a, p)
         rhos[2] = marker  # a = 0.5
         return rhos
 
-    def eigvalsh(m):
-        if m.shape[-2:] == marker.shape and np.all(m == marker, axis=(-2, -1)).any():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigvalsh(m)
-
     monkeypatch.setattr(cli, "werner_stack", stack)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    failing_eigvalsh(monkeypatch, marker)
     out = tmp_path / "qs.csv"
     assert main(["quasi-surface", "--alpha2", "2", "--a-steps", "5", "--out", str(out)]) == 4
     err = capsys.readouterr().err

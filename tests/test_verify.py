@@ -1,0 +1,70 @@
+import math
+
+import numpy as np
+import pytest
+
+from ecswerner import verify
+
+
+def nan_like(real):
+    """A stand-in for real that returns its result with every value NaN."""
+
+    def fn(*args, **kwargs):
+        return np.full(np.shape(real(*args, **kwargs)), math.nan)
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify.check_quasi_discord,
+        verify.check_plus_family_equality,
+        verify.check_werner_discord,
+        verify.check_werner_basis_independence,
+        verify.check_zurek,
+        verify.check_nonnegativity,
+    ],
+)
+def test_nan_discord_fails_the_check(monkeypatch, check):
+    # a NaN deviation is reported as NaN and fails, where max(0.0, nan) would
+    # read 0 and pass
+    monkeypatch.setattr(verify, "discord_profile", nan_like(verify.discord_profile))
+    result = check()
+    assert math.isnan(result.deviation)
+    assert not result.passed
+    assert result.line().endswith("FAIL")
+
+
+def test_nan_closed_form_fails_the_large_alpha_check(monkeypatch):
+    # NaN from the second angle on, after a finite first deviation
+    real, calls = verify.discord_quasi_closed, []
+
+    def closed(a, p, theta):
+        calls.append(theta)
+        value = real(a, p, theta)
+        return value if len(calls) == 1 else np.full(np.shape(value), math.nan)
+
+    monkeypatch.setattr(verify, "discord_quasi_closed", closed)
+    result = verify.check_large_alpha_collapse()
+    assert math.isnan(result.deviation) and not result.passed
+
+
+def test_nan_spectrum_fails_the_psd_check(monkeypatch):
+    monkeypatch.setattr(verify, "eigvals_hermitian", nan_like(verify.eigvals_hermitian))
+    result = verify.check_psd()
+    assert math.isnan(result.deviation) and not result.passed
+
+
+def test_nan_lambdas_show_in_the_convention_note(monkeypatch):
+    monkeypatch.setattr(verify, "wootters_lambdas_closed", nan_like(verify.wootters_lambdas_closed))
+    bracket_note = verify.convention_notes()[1]
+    assert "reading max dev nan (kept)" in bracket_note
+    assert "reading max dev nan (rejected)" not in bracket_note
+
+
+def test_worst_matches_max_without_nan():
+    # the same bits as max(), the first of equal values included
+    for values in ([0.0, -0.0], [-0.0, 0.0], [0.0, -1e-17], [3e-16, 1e-15, 2e-16]):
+        assert verify._worst(values).hex() == max(values).hex()
+    assert math.isnan(verify._worst([0.0, math.nan, 1.0]))
