@@ -116,11 +116,9 @@ def _squared(fn, x):
 
     Goes through Python floats: numpy's sin and cos match math's, but
     its power and square differ from libm's pow in the last bit on about
-    one argument in a thousand.  A 0-d input gives a numpy float.
+    one argument in a thousand.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.float64(fn(float(x)) ** 2)
     values = (fn(v) ** 2 for v in x.ravel().tolist())
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 

@@ -309,13 +309,8 @@ def binary_entropy(p):
 
 
 def _xlogx(p):
-    """xlogx over an array, bit for bit: math.log2 on the entries it does not zero.
-
-    A 0-d input goes straight through xlogx and gives a numpy float.
-    """
+    """xlogx over an array, bit for bit: math.log2 on the entries it does not zero."""
     p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        return np.float64(xlogx(float(p)))
     out = np.zeros(p.shape)
     live = ~(p < XLOGX_FLOOR)  # NaN stays live, as in xlogx
     vals = p[live]
