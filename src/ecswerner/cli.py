@@ -23,10 +23,10 @@ import numpy as np
 
 from .catstates import ALPHA2_MIN, StateFamily, cat_params
 from .discord import discord_min, discord_profile, discord_quasi_closed, werner_discord_closed, zurek_discord
-from .entanglement import concurrence_closed, eof
+from .entanglement import _closed_concurrence, eof
 from .qmatrix import NumericalIntegrityError
 from .verify import run_verification
-from .werner import WernerSpec, werner_stack
+from .werner import werner_stack
 
 DEFAULT_A_MIN = 0.0
 DEFAULT_A_MAX = 1.0
@@ -120,15 +120,15 @@ def zurek_surface_rows(cfg):
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
     a_col, a_values = cfg.a_grid[:, None], cfg.a_grid.tolist()
-    closed, at_zero, piped = [], [], []
+    closed, piped = [], []
     for mp in cfg.mean_photon_list:
         p = cat_params(mp)
         with _sweep_point((mp,), a_values):
             piped.append(discord_profile(werner_stack(cfg.family, cfg.a_grid, p), cfg.theta_grid))
         closed.append(discord_quasi_closed(a_col, p, cfg.theta_grid))
-        at_zero.append(discord_quasi_closed(a_col, p, 0.0))
     closed = np.concatenate(closed)
-    flagged = (np.abs(closed - np.concatenate(at_zero)) > BASIS_FLAG_TOL).astype(np.int64)
+    # the theta grid starts at exactly 0, so its first column is the theta = 0 reference
+    flagged = (np.abs(closed - closed[:, :1]) > BASIS_FLAG_TOL).astype(np.int64)
     closed, piped = closed.ravel(), np.concatenate(piped).ravel()
     grid = _grid(cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid)
     return columns, _table(columns, *grid, closed, piped, np.abs(closed - piped), flagged.ravel())
@@ -138,9 +138,7 @@ def werner_curves_rows(cfg):
     columns = ["a", "E", "delta", "delta_minus_E"]
     # the curves are family independent among the maximally entangled pair,
     # and carry no mean-photon dependence at all
-    p = cat_params(1.0)
-    a_values = cfg.a_grid.tolist()
-    e = np.array([eof(concurrence_closed(WernerSpec(StateFamily.PSI_MINUS, a, p))) for a in a_values])
+    e = eof(_closed_concurrence(StateFamily.PSI_MINUS, cfg.a_grid, cat_params(1.0)))
     delta = werner_discord_closed(cfg.a_grid)
     return columns, _table(columns, cfg.a_grid, e, delta, delta - e)
 
@@ -152,7 +150,7 @@ def quasi_curves_rows(cfg):
     # one lockstep minimization over every (|alpha|^2, a) state, in row order
     with _sweep_point(cfg.mean_photon_list, a_values):
         minima = discord_min(np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in params]))
-    e = np.array([eof(concurrence_closed(WernerSpec(cfg.family, a, p))) for p in params for a in a_values])
+    e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
     delta = np.array([res.value for res in minima])
     return columns, _table(columns, *_grid(cfg.mean_photon_list, cfg.a_grid), e, delta, delta - e)
 

@@ -43,6 +43,7 @@ from .qmatrix import (
     NumericalIntegrityError,
     _density_states,
     _partial_trace,
+    _scalar_or_array,
     _unit_interval,
     _xlogx,
     require_density_matrix,
@@ -121,11 +122,6 @@ def _squared(fn, x):
     x = np.asarray(x, dtype=float)
     values = (fn(v) ** 2 for v in x.ravel().tolist())
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
-
-
-def _scalar_or_array(x):
-    """A 0-d result as a Python float, any other as the array."""
-    return float(x) if x.ndim == 0 else x
 
 
 def _real_blocks(rhos, vecs):

@@ -2,9 +2,10 @@
 
 spin_flip and concurrence_mixed take one 4x4 state or an (S, 4, 4) stack, as
 discord_profile does; a stack's values equal one call per state bit for bit.
+eof takes a scalar or an array; concurrence_closed is the one-state case of
+the array closed form _closed_concurrence.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,10 +14,11 @@ from .qmatrix import (
     SIGMA_Y,
     _density_states,
     _product_spectrum,
+    _unit_interval,
     binary_entropy,
     tensor,
 )
-from .werner import wootters_lambdas_closed
+from .werner import _closed_lambdas
 
 _SY_SY = tensor(SIGMA_Y, SIGMA_Y)
 
@@ -43,20 +45,35 @@ def concurrence_mixed(rho):
     results; spin_flip validates the state, once.
     """
     flipped = spin_flip(rho)
-    lams = np.sqrt(_product_spectrum(np.asarray(rho, dtype=complex), flipped))
-    results = []
-    for lam in lams.reshape(-1, 4):
-        c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-        results.append(EntanglementResult(concurrence=c, eof=eof(c), lambdas=lam))
+    lams = np.sqrt(_product_spectrum(np.asarray(rho, dtype=complex), flipped)).reshape(-1, 4)
+    c = _wootters(lams)
+    results = [
+        EntanglementResult(concurrence=ck, eof=ek, lambdas=lam)
+        for ck, ek, lam in zip(c.tolist(), eof(c).tolist(), lams)
+    ]
     return results if flipped.ndim == 3 else results[0]
 
 
+def _wootters(lams):
+    """max{0, l1 - l2 - l3 - l4} of each row of descending lambdas, as max(0.0, .) gives it."""
+    d = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return np.where(d > 0.0, d, 0.0)
+
+
 def eof(concurrence):
-    """Entanglement of formation as the binary-entropy monotone of concurrence."""
-    if not -1e-10 <= concurrence <= 1.0 + 1e-10:
-        raise ValueError(f"concurrence must lie in [0, 1], got {concurrence!r}")
-    c = min(max(concurrence, 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    """Entanglement of formation as the binary-entropy monotone of concurrence.
+
+    concurrence is a scalar, giving a float, or an array.  Every entry must
+    lie in [0, 1] within 1e-10 (ValueError otherwise, NaN included); an
+    excursion within that tolerance is clamped to 0 or 1.
+    """
+    c = np.clip(_unit_interval(concurrence, "concurrence", 1e-10), 0.0, 1.0)
+    return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
+
+
+def _closed_concurrence(family, a, p):
+    """concurrence_closed of family at each mixing weight a, shape a.shape; a is not checked."""
+    return _wootters(_closed_lambdas(family, a, p))
 
 
 def concurrence_closed(spec):
@@ -66,5 +83,4 @@ def concurrence_closed(spec):
     eigenvalues: (3a-1)/2 for the perfect Werner families and
     a*C0 - (1-a)/2 for psi+/phi+ with C0 the pure-state concurrence.
     """
-    lams = wootters_lambdas_closed(spec)
-    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    return float(_closed_concurrence(spec.family, spec.mixing, spec.params))

@@ -100,10 +100,10 @@ def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
     return checks
 
 
-def _unit_interval(a, what):
-    """a as a float array, raising ValueError unless every entry lies in [0, 1]."""
+def _unit_interval(a, what, tol=0.0):
+    """a as a float array, raising ValueError unless every entry lies in [0, 1], widened by tol at both ends."""
     a = np.asarray(a, dtype=float)
-    bad = ~((0.0 <= a) & (a <= 1.0))  # NaN is bad
+    bad = ~((-tol <= a) & (a <= 1.0 + tol))  # NaN is bad
     if bad.any():
         raise ValueError(f"{what} must lie in [0, 1], got {float(a[bad][0])!r}")
     return a
@@ -303,9 +303,10 @@ def xlogx(p):
 
 
 def binary_entropy(p):
-    """Shannon entropy in bits of the distribution {p, 1-p}."""
+    """Shannon entropy in bits of the distribution {p, 1-p}; a scalar p gives a float, an array an array."""
+    p = np.asarray(p, dtype=float)
     # leading 0.0 keeps the degenerate case from returning -0.0
-    return 0.0 - xlogx(p) - xlogx(1.0 - p)
+    return _scalar_or_array(0.0 - _xlogx(p) - _xlogx(1.0 - p))
 
 
 def _xlogx(p):
@@ -316,6 +317,11 @@ def _xlogx(p):
     vals = p[live]
     out[live] = vals * np.fromiter(map(math.log2, vals.tolist()), dtype=float, count=vals.size)
     return out
+
+
+def _scalar_or_array(x):
+    """A 0-d result as a Python float, any other as the array."""
+    return float(x) if x.ndim == 0 else x
 
 
 def von_neumann_entropy(rho):

@@ -6,6 +6,11 @@ eigensolves, the generic measurement pipeline) and the worst deviation is
 reported per check.  The suite also records the two sign/exponent
 conventions that were adjudicated numerically when the closed forms were
 fixed, so the evidence stays visible in every report.
+
+Each check builds its states as one stack and makes one stacked pipeline
+call on it (one per phase in the basis-independence check), and takes its
+closed side from the array closed forms over the whole grid.  Only the
+zero-crossing bisection goes one state at a time: each step needs the last.
 """
 
 import math
@@ -21,15 +26,15 @@ from .discord import (
     zurek_density,
     zurek_discord,
 )
-from .entanglement import concurrence_closed, concurrence_mixed
+from .entanglement import _closed_concurrence, concurrence_mixed
 from .qmatrix import eigvals_hermitian, partial_trace
 from .werner import (
     WernerSpec,
+    _closed_lambdas,
+    _closed_spectra,
     _plus_family_elements,
-    spectrum_closed,
     werner_density,
     werner_stack,
-    wootters_lambdas_closed,
 )
 
 A_GRID = tuple(np.linspace(0.0, 1.0, 11))
@@ -57,6 +62,7 @@ class Check:
 
 
 def _max_dev(x, y):
+    """The largest |x - y|, NaN if any difference is NaN."""
     return float(np.max(np.abs(np.subtract(x, y))))
 
 
@@ -66,70 +72,60 @@ def _worst(deviations):
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
-def _werner_grid(families=StateFamily):
-    """The grid's WernerSpecs, by family, |alpha|^2 and a, and their states, a werner_stack per (family, |alpha|^2)."""
-    params = [(family, cat_params(mp)) for family in families for mp in MEAN_PHOTON_GRID]
-    specs = [WernerSpec(family, float(a), p) for family, p in params for a in A_GRID]
-    return specs, np.concatenate([werner_stack(family, A_GRID, p) for family, p in params])
+def _werner_grid(families=StateFamily, mean_photons=MEAN_PHOTON_GRID, a_grid=A_GRID):
+    """The (family, cat parameters) pairs, by family and |alpha|^2, and their werner_stacks over a_grid in one array."""
+    params = [(family, cat_params(mp)) for family in families for mp in mean_photons]
+    return params, np.concatenate([werner_stack(family, a_grid, p) for family, p in params])
+
+
+def _closed(form, params):
+    """An array closed form form(family, a, p) over A_GRID for each (family, p) of params, concatenated."""
+    return np.concatenate([form(family, np.array(A_GRID), p) for family, p in params])
 
 
 def check_joint_spectrum():
-    specs, rhos = _werner_grid()
-    dev = _max_dev([spectrum_closed(spec).joint for spec in specs], eigvals_hermitian(rhos))
-    return Check("joint-spectrum closed vs numeric", dev, 1e-10)
+    params, rhos = _werner_grid()
+    closed = _closed(lambda *key: _closed_spectra(*key).joint, params)
+    return Check("joint-spectrum closed vs numeric", _max_dev(closed, eigvals_hermitian(rhos)), 1e-10)
 
 
 def check_reduced_spectrum():
-    specs, rhos = _werner_grid()
-    dev = _max_dev([spectrum_closed(spec).reduced_y for spec in specs], eigvals_hermitian(partial_trace(rhos, "Y")))
+    params, rhos = _werner_grid()
+    closed = _closed(lambda *key: _closed_spectra(*key).reduced_y, params)
+    dev = _max_dev(closed, eigvals_hermitian(partial_trace(rhos, "Y")))
     return Check("reduced-Y-spectrum closed vs numeric", dev, 1e-10)
 
 
 def check_lambdas():
-    specs, rhos = _werner_grid()
-    dev = _max_dev([wootters_lambdas_closed(spec) for spec in specs], [res.lambdas for res in concurrence_mixed(rhos)])
+    params, rhos = _werner_grid()
+    dev = _max_dev(_closed(_closed_lambdas, params), [res.lambdas for res in concurrence_mixed(rhos)])
     return Check("spin-flip lambdas closed vs numeric", dev, 1e-9)
 
 
 def check_quasi_discord():
-    devs = []
-    for family in PLUS_FAMILIES:
-        for mp in MEAN_PHOTON_GRID:
-            p = cat_params(mp)
-            closed = discord_quasi_closed(np.array(A_GRID)[:, None], p, THETA_GRID_19)
-            devs.append(_max_dev(closed, discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19)))
-    return Check("quasi-Werner discord closed vs pipeline", _worst(devs), 1e-9)
+    params, rhos = _werner_grid(PLUS_FAMILIES)
+    closed = np.concatenate([discord_quasi_closed(np.array(A_GRID)[:, None], p, THETA_GRID_19) for _, p in params])
+    dev = _max_dev(closed, discord_profile(rhos, THETA_GRID_19))
+    return Check("quasi-Werner discord closed vs pipeline", dev, 1e-9)
 
 
 def check_plus_family_equality():
-    devs = []
-    thetas = THETA_GRID_19[::3]
-    for mp in MEAN_PHOTON_GRID:
-        p = cat_params(mp)
-        psi, phi = (discord_profile(werner_stack(family, A_GRID, p), thetas, 0.4) for family in PLUS_FAMILIES)
-        devs.append(_max_dev(psi, phi))
-    return Check("psi+ vs phi+ discord equality", _worst(devs), 1e-12)
+    # the psi+ states are the first half of the stack, the phi+ states the second
+    psi, phi = np.split(discord_profile(_werner_grid(PLUS_FAMILIES)[1], THETA_GRID_19[::3], 0.4), 2)
+    return Check("psi+ vs phi+ discord equality", _max_dev(psi, phi), 1e-12)
 
 
 def check_werner_discord():
-    p = cat_params(1.0)
-    closed = werner_discord_closed(A_GRID)[:, None]
-    dev = _worst(
-        _max_dev(discord_profile(werner_stack(family, A_GRID, p), THETA_GRID_19[::2], 1.0), closed)
-        for family in MINUS_FAMILIES
-    )
-    return Check("Werner discord closed vs pipeline", dev, 1e-9)
+    values = discord_profile(_werner_grid(MINUS_FAMILIES, (1.0,))[1], THETA_GRID_19[::2], 1.0)
+    closed = np.tile(werner_discord_closed(A_GRID), len(MINUS_FAMILIES))[:, None]
+    return Check("Werner discord closed vs pipeline", _max_dev(values, closed), 1e-9)
 
 
 def check_werner_basis_independence():
-    devs = []
-    p = cat_params(0.5)
-    for family in MINUS_FAMILIES:
-        rhos = werner_stack(family, (0.2, 0.5, 0.9), p)
-        # the first value of each state is theta = 0, phi = 0: the reference basis
-        values = np.concatenate([discord_profile(rhos, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)], axis=1)
-        devs.append(_max_dev(values, values[:, :1]))
-    return Check("Werner discord basis independence", _worst(devs), 1e-10)
+    rhos = _werner_grid(MINUS_FAMILIES, (0.5,), (0.2, 0.5, 0.9))[1]
+    # the first value of each state is theta = 0, phi = 0: the reference basis
+    values = np.concatenate([discord_profile(rhos, THETA_GRID_19, phi) for phi in (0.0, 1.3, 2.6)], axis=1)
+    return Check("Werner discord basis independence", _max_dev(values, values[:, :1]), 1e-10)
 
 
 def check_zurek():
@@ -139,14 +135,14 @@ def check_zurek():
 
 
 def check_concurrence():
-    specs, rhos = _werner_grid()
-    dev = _max_dev([concurrence_closed(spec) for spec in specs], [res.concurrence for res in concurrence_mixed(rhos)])
+    params, rhos = _werner_grid()
+    dev = _max_dev(_closed(_closed_concurrence, params), [res.concurrence for res in concurrence_mixed(rhos)])
     return Check("concurrence closed vs numeric", dev, 1e-9)
 
 
 def check_werner_threshold():
     a_grid = np.linspace(0.0, 1.0, 41)
-    rhos = np.concatenate([werner_stack(family, a_grid, cat_params(2.0)) for family in MINUS_FAMILIES])
+    rhos = _werner_grid(MINUS_FAMILIES, (2.0,), a_grid)[1]
     expected = np.tile(np.maximum(0.0, (3.0 * a_grid - 1.0) / 2.0), len(MINUS_FAMILIES))
     dev = _max_dev([res.concurrence for res in concurrence_mixed(rhos)], expected)
     return Check("Werner concurrence threshold (3a-1)/2", dev, 1e-10)
@@ -172,10 +168,9 @@ def check_zero_crossing():
 
 
 def check_large_alpha_collapse():
-    p = cat_params(5.0)
     a_grid = np.linspace(0.0, 1.0, 101)
-    werner = werner_discord_closed(a_grid)
-    dev = _worst(_max_dev(discord_quasi_closed(a_grid, p, theta), werner) for theta in THETA_GRID_19)
+    closed = discord_quasi_closed(a_grid[:, None], cat_params(5.0), THETA_GRID_19)
+    dev = _max_dev(closed, werner_discord_closed(a_grid)[:, None])
     return Check("large-alpha collapse to Werner form", dev, 1e-6)
 
 
@@ -185,12 +180,8 @@ def check_psd():
 
 
 def check_nonnegativity():
-    negatives = [0.0]
-    for family in StateFamily:
-        for mp in MEAN_PHOTON_GRID:
-            values = discord_profile(werner_stack(family, A_GRID, cat_params(mp)), THETA_GRID_19[::3])
-            negatives.append(-float(values.min()))
-    return Check("discord non-negativity", _worst(negatives), 1e-9)
+    values = discord_profile(_werner_grid()[1], THETA_GRID_19[::3])
+    return Check("discord non-negativity", _worst([0.0, -float(values.min())]), 1e-9)
 
 
 def convention_notes():
@@ -204,18 +195,17 @@ def convention_notes():
     )
 
     # geometric-mean vs reciprocal bracket in the spin-flip lambda pair
-    dev_kept, dev_flipped = [], []
-    specs, rhos = _werner_grid((StateFamily.PSI_PLUS,))
-    for spec, res in zip(specs, concurrence_mixed(rhos)):
-        d1, d4, r = _plus_family_elements(spec)
-        b = (1.0 - spec.mixing) / 4.0
-        root = math.sqrt(d1 * d4)
-        flipped = np.sort([1.0 / root + r, b, b, 1.0 / root - r])[::-1]
-        dev_kept.append(_max_dev(wootters_lambdas_closed(spec), res.lambdas))
-        dev_flipped.append(_max_dev(flipped, res.lambdas))
+    params, rhos = _werner_grid((StateFamily.PSI_PLUS,))
+    numeric = [res.lambdas for res in concurrence_mixed(rhos)]
+    d1, d4, r = np.concatenate([_plus_family_elements(np.array(A_GRID), p) for _, p in params], axis=1)
+    b = (1.0 - np.tile(A_GRID, len(params))) / 4.0
+    root = np.sqrt(d1 * d4)
+    flipped = np.sort(np.stack([1.0 / root + r, b, b, 1.0 / root - r], axis=-1))[:, ::-1]
     bracket_note = (
         "spin-flip lambda bracket: sqrt(d1*d4) reading max dev {:.3e} (kept); "
-        "1/sqrt(d1*d4) reading max dev {:.3e} (rejected)".format(_worst(dev_kept), _worst(dev_flipped))
+        "1/sqrt(d1*d4) reading max dev {:.3e} (rejected)".format(
+            _max_dev(_closed(_closed_lambdas, params), numeric), _max_dev(flipped, numeric)
+        )
     )
     return [const_note, bracket_note]
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from ecswerner import qmatrix
 from ecswerner.catstates import ALPHA2_MIN, StateFamily, cat_params, concurrence_pure, ecs_concurrence, ecs_vector
 from ecswerner.discord import werner_discord_closed, zurek_density
-from ecswerner.entanglement import concurrence_closed, concurrence_mixed, eof, spin_flip
-from ecswerner.qmatrix import density_from_vector
-from ecswerner.werner import WernerSpec, werner_density
+from ecswerner.entanglement import _closed_concurrence, concurrence_closed, concurrence_mixed, eof, spin_flip
+from ecswerner.qmatrix import density_from_vector, xlogx
+from ecswerner.werner import WernerSpec, werner_density, wootters_lambdas_closed
 
 A_GRID = np.linspace(0.0, 1.0, 11)
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -149,6 +149,48 @@ def test_closed_vs_numeric_concurrence(family):
             spec = WernerSpec(family, float(a), p)
             numeric = concurrence_mixed(werner_density(spec)).concurrence
             assert abs(concurrence_closed(spec) - numeric) < 1e-9
+
+
+def reference_eof(c):
+    """eof by the scalar code the array form replaces (its range check left out)."""
+    c = min(max(c, 0.0), 1.0)
+    q = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
+    return 0.0 - xlogx(q) - xlogx(1.0 - q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(list(StateFamily)),
+    st.floats(-3.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), max_size=20).map(lambda a: a + [0.0, 1.0]),
+    st.lists(st.floats(-1e-10, 1.0 + 1e-10), max_size=20),
+)
+def test_array_concurrence_and_eof_match_one_state_calls(family, log_mp, a_values, excursions):
+    # the array concurrence and eof equal one call per value, and the scalar
+    # code they replace, bit for bit, at |alpha|^2 from the cutoff to 10
+    p = cat_params(max(ALPHA2_MIN, 10.0**log_mp))
+    closed = _closed_concurrence(family, np.array(a_values), p)
+    singles = [concurrence_closed(WernerSpec(family, a, p)) for a in a_values]
+    lams = [wootters_lambdas_closed(WernerSpec(family, a, p)) for a in a_values]
+    assert hexes(closed) == [c.hex() for c in singles]
+    assert [c.hex() for c in singles] == [max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])).hex() for lam in lams]
+    values = singles + excursions
+    assert hexes(eof(np.array(values))) == [eof(c).hex() for c in values] == [reference_eof(c).hex() for c in values]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.1, -0.1, 1.0 + 2e-10, -2e-10, math.inf])
+def test_array_eof_checks_its_range_like_the_scalar(bad):
+    with pytest.raises(ValueError) as scalar:
+        eof(bad)
+    assert str(scalar.value) == f"concurrence must lie in [0, 1], got {bad!r}"
+    with pytest.raises(ValueError) as stacked:
+        eof(np.array([0.5, bad, 0.2]))
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_array_eof_clamps_in_tolerance_excursions():
+    values = eof(np.array([-1e-10, -1e-12, -0.0, 1.0 + 1e-12, 1.0 + 1e-10]))
+    assert hexes(values) == [(0.0).hex()] * 3 + [(1.0).hex()] * 2
 
 
 def test_werner_threshold_piecewise():

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ecswerner import verify
+from ecswerner import entanglement, verify, werner
 
 
 def nan_like(real):
@@ -37,13 +38,13 @@ def test_nan_discord_fails_the_check(monkeypatch, check):
 
 
 def test_nan_closed_form_fails_the_large_alpha_check(monkeypatch):
-    # NaN from the second angle on, after a finite first deviation
-    real, calls = verify.discord_quasi_closed, []
+    # NaN from the second angle on, after a finite first column
+    real = verify.discord_quasi_closed
 
     def closed(a, p, theta):
-        calls.append(theta)
         value = real(a, p, theta)
-        return value if len(calls) == 1 else np.full(np.shape(value), math.nan)
+        value[:, 1:] = math.nan
+        return value
 
     monkeypatch.setattr(verify, "discord_quasi_closed", closed)
     result = verify.check_large_alpha_collapse()
@@ -57,7 +58,7 @@ def test_nan_spectrum_fails_the_psd_check(monkeypatch):
 
 
 def test_nan_lambdas_show_in_the_convention_note(monkeypatch):
-    monkeypatch.setattr(verify, "wootters_lambdas_closed", nan_like(verify.wootters_lambdas_closed))
+    monkeypatch.setattr(verify, "_closed_lambdas", nan_like(verify._closed_lambdas))
     bracket_note = verify.convention_notes()[1]
     assert "reading max dev nan (kept)" in bracket_note
     assert "reading max dev nan (rejected)" not in bracket_note
@@ -68,3 +69,31 @@ def test_worst_matches_max_without_nan():
     for values in ([0.0, -0.0], [-0.0, 0.0], [0.0, -1e-17], [3e-16, 1e-15, 2e-16]):
         assert verify._worst(values).hex() == max(values).hex()
     assert math.isnan(verify._worst([0.0, math.nan, 1.0]))
+
+
+def test_verify_makes_one_stacked_pipeline_call_per_check(monkeypatch):
+    # one discord_profile call per check and one per phase of the
+    # basis-independence check: 8 in all; the closed side takes whole
+    # arrays, never one WernerSpec at a time
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(verify, "discord_profile")
+    for module, name in [
+        (werner, "spectrum_closed"),
+        (werner, "wootters_lambdas_closed"),
+        (entanglement, "concurrence_closed"),
+    ]:
+        count(module, name)
+        if hasattr(verify, name):
+            count(verify, name)
+    verify.run_verification()
+    assert calls == {"discord_profile": 8}

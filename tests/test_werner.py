@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecswerner.catstates import StateFamily, cat_params, ecs_vector
+from ecswerner.catstates import ALPHA2_MIN, StateFamily, cat_params, ecs_vector
 from ecswerner.qmatrix import SIGMA_Y, density_from_vector, eigvals_hermitian, partial_trace, tensor
 from ecswerner.werner import (
     WernerSpec,
+    _closed_lambdas,
+    _closed_spectra,
     _plus_family_elements,
     spectrum_closed,
     werner_density,
@@ -85,7 +91,7 @@ def test_corner_weight_sites_match_spelled_out_expressions():
     for mp in WIDE_MEAN_PHOTON_GRID:
         p = cat_params(mp)
         for a in STACK_A_GRID.tolist():
-            d1, d4, r = _plus_family_elements(spec(StateFamily.PSI_PLUS, a, mp))
+            d1, d4, r = _plus_family_elements(a, p)
             assert d1.hex() == ((1.0 - a) / 4.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4)).hex()
             assert d4.hex() == ((1.0 - a) / 4.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4)).hex()
             assert r.hex() == (a * p.n_plus**2 / (4.0 * p.N_plus**2 * p.N_minus**2)).hex()
@@ -95,6 +101,57 @@ def test_corner_weight_sites_match_spelled_out_expressions():
             ]
             got = spectrum_closed(spec(StateFamily.PHI_PLUS, a, mp)).reduced_y
             assert np.array_equal(bits(got), bits(np.sort(reduced)[::-1]))
+
+
+def reference_spectra(family, a, p):
+    """spectrum_closed by the one-state scalar code the array form replaces: (joint, reduced)."""
+    joint = np.array([(1.0 + 3.0 * a) / 4.0] + [(1.0 - a) / 4.0] * 3)
+    if family.maximally_entangled:
+        reduced = np.array([0.5, 0.5])
+    else:
+        w1, w4 = a * p.n_plus**2 / (4.0 * p.N_plus**4), a * p.n_plus**2 / (4.0 * p.N_minus**4)
+        reduced = np.array([(1.0 - a) / 2.0 + w1, (1.0 - a) / 2.0 + w4])
+    return np.sort(joint)[::-1], np.sort(reduced)[::-1]
+
+
+def reference_lambdas(family, a, p):
+    """wootters_lambdas_closed by the one-state scalar code the array form replaces."""
+    if family.maximally_entangled:
+        return reference_spectra(family, a, p)[0]
+    b = (1.0 - a) / 4.0
+    d1 = (1.0 - a) / 4.0 + a * p.n_plus**2 / (4.0 * p.N_plus**4)
+    d4 = (1.0 - a) / 4.0 + a * p.n_plus**2 / (4.0 * p.N_minus**4)
+    r = a * p.n_plus**2 / (4.0 * p.N_plus**2 * p.N_minus**2)
+    root = math.sqrt(d1 * d4)
+    return np.sort(np.array([root + r, b, b, root - r]))[::-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(list(StateFamily)),
+    st.floats(-3.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), max_size=20).map(lambda a: a + [0.0, 1.0]),
+)
+def test_array_closed_forms_match_one_state_calls(family, log_mp, a_values):
+    # every row of the array cores equals its one-state call and the scalar
+    # code they replace, bit for bit, at |alpha|^2 from the cutoff to 10
+    p = cat_params(max(ALPHA2_MIN, 10.0**log_mp))
+    spectra = _closed_spectra(family, np.array(a_values), p)
+    lambdas = _closed_lambdas(family, np.array(a_values), p)
+    assert spectra.joint.shape == lambdas.shape == (len(a_values), 4)
+    assert spectra.reduced_y.shape == (len(a_values), 2)
+    for k, a in enumerate(a_values):
+        spec = WernerSpec(family, a, p)
+        joint, reduced = reference_spectra(family, a, p)
+        for got, expected in [
+            (spectra.joint[k], joint),
+            (spectrum_closed(spec).joint, joint),
+            (spectra.reduced_y[k], reduced),
+            (spectrum_closed(spec).reduced_y, reduced),
+            (lambdas[k], reference_lambdas(family, a, p)),
+            (wootters_lambdas_closed(spec), reference_lambdas(family, a, p)),
+        ]:
+            assert np.array_equal(bits(got), bits(expected))
 
 
 def test_maximally_entangled_lambdas_are_the_joint_spectrum():
