@@ -233,6 +233,42 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert len(rows) == 2 * 2 * 5
 
 
+@pytest.mark.parametrize(
+    "key, flag, config, default",
+    [("family", "psi-", "phi+", "psi+"), ("format", "csv", "json", "csv"), ("out", "flag.csv", "config.csv", "werner_curves.csv")],
+)
+def test_flag_overrides_config_overrides_default(tmp_path, key, flag, config, default):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{key} = {config}\n", encoding="utf-8")
+
+    def resolved(*argv):
+        sweep = cli.build_config(cli.build_parser().parse_args(["werner-curves", *argv]))
+        return {"family": sweep.family.value, "format": sweep.format, "out": sweep.output_path}[key]
+
+    assert resolved("--config", str(cfg), f"--{key}", flag) == flag
+    assert resolved("--config", str(cfg)) == config
+    assert resolved() == default
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a_min = low", "config key a_min must be a number, got 'low'"),
+        ("a_max = 1.0.0", "config key a_max must be a number, got '1.0.0'"),
+        ("a_steps = 2.5", "config key a_steps must be an integer, got '2.5'"),
+        ("theta_steps = many", "config key theta_steps must be an integer, got 'many'"),
+        ("alpha2 = 1, two", "config key alpha2 must list numbers, got '1, two'"),
+    ],
+)
+def test_bad_config_value_exits_2_with_its_message(tmp_path, capsys, line, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "w.csv"
+    assert main(["werner-curves", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["werner-curves", "--a-steps", "3"]) == 0
