@@ -162,8 +162,9 @@ def quasi_curves_rows(cfg):
 WRITE_BLOCK_ROWS = 4096
 
 
-def _fmt(value):
-    return "%.15g" % value
+# the text of a float; a bound method, so map() formats a column without a
+# Python function call per value
+_fmt = "%.15g".__mod__
 
 
 def _format_column(values):
@@ -173,7 +174,7 @@ def _format_column(values):
     """
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     keys = keys.view(values.dtype).tolist()
-    text = [str(v) for v in keys] if values.dtype.kind == "i" else ["%.15g" % v for v in keys]
+    text = list(map(str if values.dtype.kind == "i" else _fmt, keys))
     return np.array(text, dtype=object)[inverse].tolist()
 
 
@@ -224,7 +225,7 @@ def parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,49 +242,38 @@ def parse_config_file(path):
     return values
 
 
-def _config_float(values, key):
+def _setting(args, values, key, default, convert=str, must=None):
+    """The flag for key if one was given, else its config-file value through convert, else default.
+
+    A config value that convert rejects raises ConfigError: key must <must>.
+    """
+    if (flag := getattr(args, key)) is not None:
+        return flag
+    if key not in values:
+        return default
     try:
-        return float(values[key])
+        return convert(values[key])
     except ValueError as exc:
-        raise ConfigError(f"config key {key} must be a number, got {values[key]!r}") from exc
+        raise ConfigError(f"config key {key} must {must}, got {values[key]!r}") from exc
 
 
-def _config_int(values, key):
-    try:
-        return int(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be an integer, got {values[key]!r}") from exc
-
-
-def _pick(cli_value, config_values, key, default, convert):
-    if cli_value is not None:
-        return cli_value
-    if key in config_values:
-        return convert(config_values, key)
-    return default
+def _numbers(text):
+    """The numbers of a comma- or space-separated list."""
+    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 def build_config(args):
-    config_values = parse_config_file(args.config) if args.config else {}
+    values = parse_config_file(args.config) if args.config else {}
 
-    a_min = _pick(args.a_min, config_values, "a_min", DEFAULT_A_MIN, _config_float)
-    a_max = _pick(args.a_max, config_values, "a_max", DEFAULT_A_MAX, _config_float)
-    a_steps = _pick(args.a_steps, config_values, "a_steps", DEFAULT_A_STEPS, _config_int)
+    a_min = _setting(args, values, "a_min", DEFAULT_A_MIN, float, "be a number")
+    a_max = _setting(args, values, "a_max", DEFAULT_A_MAX, float, "be a number")
+    a_steps = _setting(args, values, "a_steps", DEFAULT_A_STEPS, int, "be an integer")
     default_theta = DEFAULT_ZUREK_THETA_STEPS if args.command == "zurek-surface" else DEFAULT_THETA_STEPS
-    theta_steps = _pick(args.theta_steps, config_values, "theta_steps", default_theta, _config_int)
-
-    alpha2 = args.alpha2
-    if alpha2 is None and "alpha2" in config_values:
-        try:
-            alpha2 = [float(tok) for tok in config_values["alpha2"].replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"config key alpha2 must list numbers, got {config_values['alpha2']!r}") from exc
-    if alpha2 is None:
-        alpha2 = list(DEFAULT_ALPHA2)
-
-    family_label = _pick(args.family, config_values, "family", DEFAULT_FAMILY, lambda v, k: v[k])
-    fmt = _pick(args.format, config_values, "format", DEFAULT_FORMAT, lambda v, k: v[k])
-    out = _pick(args.out, config_values, "out", None, lambda v, k: v[k])
+    theta_steps = _setting(args, values, "theta_steps", default_theta, int, "be an integer")
+    alpha2 = _setting(args, values, "alpha2", DEFAULT_ALPHA2, _numbers, "list numbers")
+    family_label = _setting(args, values, "family", DEFAULT_FAMILY)
+    fmt = _setting(args, values, "format", DEFAULT_FORMAT)
+    out = _setting(args, values, "out", None)
 
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")

@@ -1,12 +1,17 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+Criteria 2, 3, 5 and 6 report the deviations of the `ecswerner verify`
+checks that run on their grids, each held to the criterion's own tolerance.
+On the grids that verify does not cover, the gate computes its own
+values, one stacked call per grid.
 """
 
 import math
 
 import numpy as np
 
+from ecswerner import verify
 from ecswerner.catstates import StateFamily, cat_params, ecs_concurrence
 from ecswerner.cli import main
 from ecswerner.discord import (
@@ -14,14 +19,12 @@ from ecswerner.discord import (
     discord_at,
     discord_min,
     discord_profile,
-    discord_quasi_closed,
     werner_discord_closed,
     zurek_discord,
 )
 from ecswerner.entanglement import concurrence_closed, concurrence_mixed, eof
-from ecswerner.qmatrix import eigvals_hermitian, partial_trace
-from ecswerner.verify import convention_notes
-from ecswerner.werner import WernerSpec, spectrum_closed, werner_density
+from ecswerner.qmatrix import eigvals_hermitian
+from ecswerner.werner import WernerSpec, werner_density, werner_stack
 
 A_GRID = np.linspace(0.0, 1.0, 11)
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -33,6 +36,18 @@ def report(number, name, ok, detail):
     assert ok, f"criterion {number} {name}: {detail}"
 
 
+def deviation(check):
+    """The max deviation that a verify check reports, after checking that verify's grids are this module's."""
+    assert verify.A_GRID == tuple(A_GRID) and verify.MEAN_PHOTON_GRID == MEAN_PHOTON_GRID
+    assert verify.THETA_GRID_19 == tuple(THETA_GRID_19)
+    return check().deviation
+
+
+def stack(family, mean_photons):
+    """werner_stack of family over A_GRID at each |alpha|^2, in one array."""
+    return np.concatenate([werner_stack(family, A_GRID, cat_params(mp)) for mp in mean_photons])
+
+
 def test_criterion_1_zurek_endpoints():
     thetas = np.linspace(-math.pi, math.pi, 361)
     dev_one = max(abs(zurek_discord(1.0, float(t)) - 1.0) for t in thetas)
@@ -42,36 +57,16 @@ def test_criterion_1_zurek_endpoints():
 
 
 def test_criterion_2_closed_spectra():
-    dev = 0.0
-    for family in StateFamily:
-        for mp in MEAN_PHOTON_GRID:
-            p = cat_params(mp)
-            for a in A_GRID:
-                spec = WernerSpec(family, float(a), p)
-                rho = werner_density(spec)
-                closed = spectrum_closed(spec)
-                dev = max(dev, float(np.max(np.abs(closed.joint - eigvals_hermitian(rho)))))
-                dev = max(
-                    dev,
-                    float(np.max(np.abs(closed.reduced_y - eigvals_hermitian(partial_trace(rho, "Y"))))),
-                )
-    report(2, "closed-form spectra vs eigensolver", dev < 1e-10, f"max dev {dev:.2e}")
+    joint, reduced = deviation(verify.check_joint_spectrum), deviation(verify.check_reduced_spectrum)
+    ok = joint < 1e-10 and reduced < 1e-10
+    report(2, "closed-form spectra vs eigensolver", ok, f"max dev joint {joint:.2e}, reduced-Y {reduced:.2e}")
 
 
 def test_criterion_3_discord_oracle_equivalence():
-    dev_closed = 0.0
-    dev_family = 0.0
-    for mp in MEAN_PHOTON_GRID:
-        p = cat_params(mp)
-        for a in A_GRID:
-            a = float(a)
-            psi = discord_profile(werner_density(WernerSpec(StateFamily.PSI_PLUS, a, p)), THETA_GRID_19)
-            phi = discord_profile(werner_density(WernerSpec(StateFamily.PHI_PLUS, a, p)), THETA_GRID_19)
-            dev_family = max(dev_family, float(np.max(np.abs(psi - phi))))
-            for theta, piped in zip(THETA_GRID_19, psi):
-                dev_closed = max(dev_closed, abs(discord_quasi_closed(a, p, float(theta)) - piped))
-            for theta, piped in zip(THETA_GRID_19, phi):
-                dev_closed = max(dev_closed, abs(discord_quasi_closed(a, p, float(theta)) - piped))
+    dev_closed = deviation(verify.check_quasi_discord)
+    # psi+ against phi+ at phi = 0 on every theta; verify compares them on theta[::3] at phi = 0.4
+    psi, phi = (stack(f, MEAN_PHOTON_GRID) for f in (StateFamily.PSI_PLUS, StateFamily.PHI_PLUS))
+    dev_family = float(np.max(np.abs(discord_profile(psi, THETA_GRID_19) - discord_profile(phi, THETA_GRID_19))))
     ok = dev_closed < 1e-9 and dev_family < 1e-12
     report(3, "quasi-Werner discord closed vs pipeline", ok,
            f"closed-vs-pipeline {dev_closed:.2e}, psi+ vs phi+ {dev_family:.2e}")
@@ -79,20 +74,12 @@ def test_criterion_3_discord_oracle_equivalence():
 
 def test_criterion_4_corrected_werner_discord():
     dev_ends = max(abs(werner_discord_closed(0.0)), abs(werner_discord_closed(1.0) - 1.0))
-    p = cat_params(0.5)
-    dev_pipe = 0.0
-    dev_basis = 0.0
-    for family in (StateFamily.PSI_MINUS, StateFamily.PHI_MINUS):
-        for a in A_GRID:
-            rho = werner_density(WernerSpec(family, float(a), p))
-            closed = werner_discord_closed(float(a))
-            base = discord_at(rho, MeasurementBasis(0.0)).value
-            for theta in THETA_GRID_19[::3]:
-                for phi in (0.0, 1.0, 2.5):
-                    val = discord_at(rho, MeasurementBasis(float(theta), phi)).value
-                    dev_pipe = max(dev_pipe, abs(val - closed))
-                    dev_basis = max(dev_basis, abs(val - base))
-    notes = "\n".join(convention_notes())
+    rhos = np.concatenate([stack(f, (0.5,)) for f in (StateFamily.PSI_MINUS, StateFamily.PHI_MINUS)])
+    # the first value of each state is theta = 0, phi = 0: the reference basis
+    values = np.concatenate([discord_profile(rhos, THETA_GRID_19[::3], phi) for phi in (0.0, 1.0, 2.5)], axis=1)
+    dev_pipe = float(np.max(np.abs(values - np.tile(werner_discord_closed(A_GRID), 2)[:, None])))
+    dev_basis = float(np.max(np.abs(values - values[:, :1])))
+    notes = "\n".join(verify.convention_notes())
     shows_rejected_constant = "-2" in notes
     ok = dev_ends < 1e-12 and dev_pipe < 1e-9 and dev_basis < 1e-10 and shows_rejected_constant
     report(4, "corrected Werner discord", ok,
@@ -101,35 +88,21 @@ def test_criterion_4_corrected_werner_discord():
 
 
 def test_criterion_5_concurrence_thresholds():
-    p = cat_params(1.0)
-    dev = 0.0
-    for a in np.linspace(0.0, 1.0, 41):
-        c = concurrence_mixed(werner_density(WernerSpec(StateFamily.PSI_MINUS, float(a), p))).concurrence
-        dev = max(dev, abs(c - max(0.0, (3.0 * float(a) - 1.0) / 2.0)))
-
-    def has_concurrence(a):
-        return concurrence_mixed(werner_density(WernerSpec(StateFamily.PSI_PLUS, a, p))).concurrence > 0.0
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2.0
-        if has_concurrence(mid):
-            hi = mid
-        else:
-            lo = mid
-    crossing = (lo + hi) / 2.0
-    expected = 1.0 / (1.0 + 2.0 * ecs_concurrence(p))
-    ok = dev < 1e-10 and abs(crossing - expected) < 1e-6
+    # the psi- threshold at |alpha|^2 = 1; verify checks it at |alpha|^2 = 2
+    a_grid = np.linspace(0.0, 1.0, 41)
+    rhos = werner_stack(StateFamily.PSI_MINUS, a_grid, cat_params(1.0))
+    c = np.array([res.concurrence for res in concurrence_mixed(rhos)])
+    dev = float(np.max(np.abs(c - np.maximum(0.0, (3.0 * a_grid - 1.0) / 2.0))))
+    dev_crossing = deviation(verify.check_zero_crossing)
+    crossing = verify.concurrence_zero_crossing(1.0)
+    expected = 1.0 / (1.0 + 2.0 * ecs_concurrence(cat_params(1.0)))
+    ok = dev < 1e-10 and dev_crossing < 1e-6
     report(5, "concurrence thresholds", ok,
            f"Werner dev {dev:.2e}, crossing {crossing:.8f} vs 1/(1+2C0) {expected:.8f}")
 
 
 def test_criterion_6_large_alpha_convergence():
-    p = cat_params(5.0)
-    dev = 0.0
-    for a in np.linspace(0.0, 1.0, 101):
-        for theta in THETA_GRID_19:
-            dev = max(dev, abs(discord_quasi_closed(float(a), p, float(theta)) - werner_discord_closed(float(a))))
+    dev = deviation(verify.check_large_alpha_collapse)
     report(6, "large-mean-photon convergence to Werner", dev < 1e-6, f"max dev {dev:.2e}")
 
 

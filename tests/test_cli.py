@@ -235,7 +235,11 @@ def test_config_file_and_cli_precedence(tmp_path):
 
 @pytest.mark.parametrize(
     "key, flag, config, default",
-    [("family", "psi-", "phi+", "psi+"), ("format", "csv", "json", "csv"), ("out", "flag.csv", "config.csv", "werner_curves.csv")],
+    [
+        ("family", "psi-", "phi+", "psi+"),
+        ("format", "csv", "json", "csv"),
+        ("out", "flag.csv", "config.csv", "werner_curves.csv"),
+    ],
 )
 def test_flag_overrides_config_overrides_default(tmp_path, key, flag, config, default):
     cfg = tmp_path / "sweep.cfg"
@@ -275,7 +279,7 @@ def test_default_output_name(tmp_path, monkeypatch):
     assert (tmp_path / "werner_curves.csv").exists()
 
 
-def test_bad_arguments_exit_2(tmp_path):
+def test_bad_arguments_exit_2(tmp_path, capsys):
     assert main(["zurek-surface", "--a-min", "0.9", "--a-max", "0.1"]) == 2
     assert main(["quasi-surface", "--alpha2", "1e-5"]) == 2
     assert main(["quasi-surface", "--family", "nope"]) == 2  # argparse choice
@@ -285,6 +289,12 @@ def test_bad_arguments_exit_2(tmp_path):
     assert main(["werner-curves", "--config", str(bad_cfg)]) == 2
     missing = tmp_path / "missing.cfg"
     assert main(["werner-curves", "--config", str(missing)]) == 2
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"a_steps = 3\xff\n")
+    capsys.readouterr()
+    assert main(["werner-curves", "--config", str(not_utf8)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {not_utf8}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
