@@ -176,6 +176,21 @@ GOLDEN_SHA256 = {
         ["quasi-curves", *SMALL_GRID],
         "5974db0c9e9bc4e0112f4a1cd5fc85c59f33b6e39449cac966c1c9fbae805eae",
     ),
+    # phi+ has psi+'s curves, and phi- psi-'s (each pair's states differ);
+    # the Werner psi-/phi- states are flat in theta, so the minimizer's whole
+    # coarse scan ties
+    "quasi-curves-psi-": (
+        ["quasi-curves", *SMALL_GRID, "--family", "psi-"],
+        "34a618a8ace408351c7751822c80446a4e8deca37556460821e2530b0cd2200c",
+    ),
+    "quasi-curves-phi+": (
+        ["quasi-curves", *SMALL_GRID, "--family", "phi+"],
+        "5974db0c9e9bc4e0112f4a1cd5fc85c59f33b6e39449cac966c1c9fbae805eae",
+    ),
+    "quasi-curves-phi-": (
+        ["quasi-curves", *SMALL_GRID, "--family", "phi-"],
+        "34a618a8ace408351c7751822c80446a4e8deca37556460821e2530b0cd2200c",
+    ),
     "quasi-curves-default-grid": (
         ["quasi-curves"],
         "8d50f2e25d177720476df71c26b24332e4181872c58c9b9e72105f9ddb26ce32",
