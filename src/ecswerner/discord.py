@@ -23,6 +23,14 @@ call.  The many-angle calls, a profile and discord_min's probe and scan,
 take at most MIN_SLICE_STATES states each, which caps the kernel's
 temporaries.
 
+discord_min probes only the states that an exact structural test does
+not clear: an X state with one coherence pair cannot depend on the
+measurement phase, and every state this library builds is one.  Its
+coarse scan estimates each grid discord with np.log2, whose error has a
+known bound (_SCREEN_TOL), and runs the exact math.log2 only near each
+state's lowest estimate, which finds the exact scan's minimum bit for
+bit.
+
 The kernel multiplies real arrays when every phase is zero and every state
 is real, which covers every sweep and every minimizer step on the states
 this library builds; its blocks then have the same bits as the complex
@@ -40,6 +48,7 @@ import numpy as np
 from .catstates import CatParams
 from .qmatrix import (
     DEGENERATE_PROB,
+    XLOGX_FLOOR,
     NumericalIntegrityError,
     _density_states,
     _partial_trace,
@@ -52,7 +61,7 @@ from .qmatrix import (
 from .werner import _corner_weights
 
 # Angles used by the runtime check that discord does not depend on the
-# measurement phase (true for every X-form state this library builds).
+# measurement phase, for the states that _phase_free does not clear.
 PHI_PROBE = (0.0, 0.5, 1.0, 2.0, 3.0)
 PHI_PROBE_THETAS = (0.7, 1.9)
 PHI_SENSITIVITY_TOL = 1e-8
@@ -64,6 +73,23 @@ THETA_REFINE_TOL = 1e-8
 # 101-state sweep column at once raises the peak memory of quasi-curves by
 # about a fifth
 MIN_SLICE_STATES = 16
+# Bound on |estimate - exact| of a coarse-scan discord.  The estimate
+# (_xlogx_estimate) and the exact value (_xlogx) run the same operations on
+# the same spectra except log2.  Each log2 is within 1 ulp of the true
+# value, so the two differ by at most 2 ulp, and each p log2 p term, at
+# most 1 / (e ln 2) < 0.54 in size, moves by at most 3 ulp of 0.54 once
+# rounded; the eight sums, products and differences after it, of
+# magnitudes below 4, add at most 1 ulp of 4 (8.9e-16) each: the whole is
+# below 1e-14.  On the coarse scans of the four families' default
+# quasi-curves stacks (3,232 states x 181 angles), the two logs differed
+# on 0.23% of the 2.3M arguments, by 1 ulp each, and the largest
+# |estimate - exact| was 2.2e-16.  A grid point whose estimate is more
+# than 2 * _SCREEN_TOL above its row's lowest estimate is therefore
+# strictly above the row's exact minimum, and the exact values of the
+# other points give the argmin.
+_SCREEN_TOL = 1e-12
+# the off-diagonal, off-anti-diagonal entries of a 4x4 matrix
+_OFF_X = (np.eye(4) + np.eye(4)[::-1]) == 0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -127,7 +153,7 @@ def _squared(fn, x):
 def _real_blocks(rhos, vecs):
     """The conditional X blocks of real states measured with real projectors.
 
-    The real part of the complex einsum in _measure, computed in einsum's
+    The real part of the complex einsum in _spectra, computed in einsum's
     own order: each term is (rho[s, a, b, c, d] * v_b) * v_d, and the four
     terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).  Each block entry
     (a, c) is built on its own from contiguous (S|1, n, 2) components v_b,
@@ -142,18 +168,18 @@ def _real_blocks(rhos, vecs):
     return blocks
 
 
-def _measure(rhos, thetas, phis):
+def _spectra(rhos, thetas, phis):
     """Measure Y on a stack of validated states at arrays of angles.
 
     rhos has shape (S, 4, 4); thetas and phis broadcast together to shape
     (S, n), one (theta, phi) pair per measurement, or to (n,) for angles
     shared by every state.  Returns the unnormalized conditional X blocks,
-    shape (S, n, 2, 2, 2) indexed [state, angle, outcome j, row, col]; the
-    outcome probabilities P_j, shape (S, n, 2); and the measured
-    conditional entropy sum_j P_j S(rho_X|j), shape (S, n), from the
-    closed-form spectrum of each Hermitian 2x2 block.  A branch with P_j
-    below DEGENERATE_PROB contributes nothing.  Every value depends only
-    on its own state and angle, not on what else the call measures.
+    shape (S, n, 2, 2, 2) indexed [state, angle, outcome j, row, col], and
+    the conditional spectra: the outcome probabilities P_j, whether each
+    P_j reaches DEGENERATE_PROB, and the two eigenvalues of each
+    normalized block, from the closed-form spectrum of a Hermitian 2x2
+    matrix, each of shape (S, n, 2).  Every value depends only on its own
+    state and angle, not on what else the call measures.
 
     When every phi is zero and every state is real (all states this
     library builds, at every angle of a sweep or of the minimizer), the
@@ -178,9 +204,30 @@ def _measure(rhos, thetas, phis):
     norm = np.where(live, probs, 1.0)
     e0 = np.clip((probs / 2.0 + gap) / norm, 0.0, 1.0)
     e1 = np.clip((probs / 2.0 - gap) / norm, 0.0, 1.0)
-    terms = np.where(live, probs * -(_xlogx(e0) + _xlogx(e1)), 0.0)
+    return blocks, (probs, live, e0, e1)
+
+
+def _entropy_sum(spectra, xlogx):
+    """The measured conditional entropy sum_j P_j S(rho_X|j) from the spectra of _spectra, with xlogx for p log2 p.
+
+    The spectra may be indexed down to any shape (..., 2); a branch with
+    P_j below DEGENERATE_PROB contributes nothing.
+    """
+    probs, live, e0, e1 = spectra
+    terms = np.where(live, probs * -(xlogx(e0) + xlogx(e1)), 0.0)
     # leading 0.0 keeps a zero entropy from coming out as -0.0
-    return blocks, probs, 0.0 + terms[..., 0] + terms[..., 1]
+    return 0.0 + terms[..., 0] + terms[..., 1]
+
+
+def _xlogx_estimate(p):
+    """_xlogx with np.log2 in place of math.log2, within 1 ulp of it in the log (see _SCREEN_TOL)."""
+    return np.where(p < XLOGX_FLOOR, 0.0, p * np.log2(np.maximum(p, XLOGX_FLOOR)))
+
+
+def _measure(rhos, thetas, phis):
+    """The blocks of _spectra, the outcome probabilities P_j, shape (S, n, 2), and the conditional entropies, (S, n)."""
+    blocks, spectra = _spectra(rhos, thetas, phis)
+    return blocks, spectra[0], _entropy_sum(spectra, _xlogx)
 
 
 def conditional_states(rho, basis):
@@ -257,23 +304,61 @@ def discord_profile(rho, thetas, phi=0.0):
     return values if stacked else values[0]
 
 
-def _discord_slices(rhos, parts, thetas, phis):
-    """Discord at the angles shared by all states, one (slice, (s, n) values) pair per slice of states.
-
-    The kernel sees at most MIN_SLICE_STATES states per call, which caps
-    its temporaries for the many-angle calls.
-    """
-    for start in range(0, len(rhos), MIN_SLICE_STATES):
-        part = slice(start, start + MIN_SLICE_STATES)
-        yield part, _discord(tuple(v[part] for v in parts), _measure(rhos[part], thetas, phis)[2])
+def _slices(n):
+    """Slices of at most MIN_SLICE_STATES states covering a stack of n, a cap on the many-angle kernel calls' temporaries."""
+    return (slice(start, start + MIN_SLICE_STATES) for start in range(0, n, MIN_SLICE_STATES))
 
 
 def _sliced_discord(rhos, parts, thetas, phis):
     """Discord of every state at the angles shared by all, shape (S, n), measured in slices."""
     values = np.empty((len(rhos), len(thetas)))
-    for part, sliced in _discord_slices(rhos, parts, thetas, phis):
-        values[part] = sliced
+    for part in _slices(len(rhos)):
+        values[part] = _discord(tuple(v[part] for v in parts), _measure(rhos[part], thetas, phis)[2])
     return values
+
+
+def _phase_free(rhos):
+    """Whether each state's discord cannot depend on the measurement phase, by its structure alone.
+
+    True for an X state (every entry off the diagonal and the anti-diagonal
+    exactly 0) with one coherence pair (rho_14 = rho_41 = 0 or
+    rho_23 = rho_32 = 0): a phase phi on Y's basis then multiplies the one
+    pair by e^{-+i phi}, which a local unitary on X undoes, and that leaves
+    every conditional entropy as it was (Ali, Rau & Alber, PRA 81, 042105,
+    2010).  X form alone is not enough: with both pairs nonzero the
+    discord can move with phi.
+    """
+    zero = rhos == 0
+    one_pair = (zero[:, 0, 3] & zero[:, 3, 0]) | (zero[:, 1, 2] & zero[:, 2, 1])
+    return zero[:, _OFF_X].all(axis=1) & one_pair
+
+
+def _coarse_minimum(rhos, parts, grid):
+    """Each state's first grid argmin k and its discord there, as (S,) arrays, equal to those of the exact scan.
+
+    Per slice of states, the kernel's spectra are computed once and every
+    grid discord is estimated with _xlogx_estimate.  The exact _xlogx runs
+    only on the candidates: the grid points whose estimate lies within
+    2 * _SCREEN_TOL of their row's lowest estimate, or every point of a
+    row that holds a NaN.  The others lie strictly above the row's exact
+    minimum, so argmin over the exact candidates, with +inf elsewhere,
+    finds the exact scan's k and value bit for bit.
+    """
+    k, k_value = np.empty(len(rhos), dtype=np.intp), np.empty(len(rhos))
+    for part in _slices(len(rhos)):
+        s_x, mutual = (v[part] for v in parts)
+        spectra = _spectra(rhos[part], grid, 0.0)[1]
+        estimate = _discord((s_x, mutual), _entropy_sum(spectra, _xlogx_estimate))
+        # NaN compares False: a NaN row minimum keeps its whole row
+        candidate = np.flatnonzero(~(estimate > estimate.min(axis=1, keepdims=True) + 2.0 * _SCREEN_TOL))
+        rows = candidate // len(grid)
+        # take on the flattened (state, angle) axis: a boolean mask costs several times more
+        cond = _entropy_sum([np.take(v.reshape(-1, 2), candidate, axis=0) for v in spectra], _xlogx)
+        values = np.full(estimate.shape, np.inf)
+        np.put(values, candidate, mutual[rows] - (s_x[rows] - cond))
+        k[part] = np.argmin(values, axis=1)
+        k_value[part] = values[np.arange(len(values)), k[part]]
+    return k, k_value
 
 
 def discord_min(rho):
@@ -281,41 +366,46 @@ def discord_min(rho):
 
     rho is one 4x4 state, giving one DiscordResult, or an (S, 4, 4) stack,
     giving a list of S results equal field for field to one call per state.
-    The stack is validated first, as in discord_profile.  The phase angle is fixed to 0 after a
-    runtime check that discord is phase insensitive for each input (raises
-    NumericalIntegrityError otherwise; for a stack, the error's index and
-    message name the offending state's position); the angle theta is then
-    minimized by a coarse scan of [0, pi] followed by golden-section
-    refinement.  A stack is minimized in lockstep: each golden-section
-    step and the final evaluation is one kernel call for all its states,
-    and the phase probe and the coarse scan, whose temporaries grow with
-    states x angles, are one call per slice of at most MIN_SLICE_STATES
-    states.
+    The stack is validated first, as in discord_profile.  The phase angle
+    is fixed to 0 once each input is known to be phase insensitive: by
+    structure (_phase_free: an X state with rho_14 = 0 or rho_23 = 0,
+    entries compared exactly), or else by a runtime probe that raises
+    NumericalIntegrityError if the discord moves with the phase (for a
+    stack, the error's index and message name the offending state's
+    position).  The angle theta is then minimized by a coarse scan of
+    [0, pi] followed by golden-section refinement.  The scan
+    (_coarse_minimum) estimates every grid discord with np.log2 and takes
+    the exact value only within 2 * _SCREEN_TOL of each state's lowest
+    estimate, so its grid minimum is the exact scan's bit for bit.  A
+    stack is minimized in lockstep: each golden-section step and the final
+    evaluation is one kernel call for all its states, and the phase probe
+    and the coarse scan, whose temporaries grow with states x angles, are
+    one call per slice of at most MIN_SLICE_STATES states.
     """
     rhos, stacked = _density_states(rho)
     parts = _discord_parts(rhos)
 
-    # the phase probe: every PHI_PROBE_THETAS angle at every PHI_PROBE phase
+    # the phase probe, every PHI_PROBE_THETAS angle at every PHI_PROBE
+    # phase, on the states that _phase_free does not clear
+    probed = np.flatnonzero(~_phase_free(rhos))
     thetas = np.tile(PHI_PROBE_THETAS, len(PHI_PROBE))
     phis = np.repeat(PHI_PROBE, len(PHI_PROBE_THETAS))
-    probe = _sliced_discord(rhos, parts, thetas, phis).reshape(len(rhos), len(PHI_PROBE), len(PHI_PROBE_THETAS))
+    probe = _sliced_discord(rhos[probed], tuple(v[probed] for v in parts), thetas, phis)
+    probe = probe.reshape(len(probed), len(PHI_PROBE), len(PHI_PROBE_THETAS))
     worst = np.max(np.abs(probe[:, 1:] - probe[:, :1]), axis=(1, 2))
     sensitive = np.flatnonzero(worst > PHI_SENSITIVITY_TOL)
     if sensitive.size:
-        k = int(sensitive[0])
+        i = sensitive[0]
+        k = int(probed[i])
         prefix = f"state {k}: " if stacked else ""
         raise NumericalIntegrityError(
-            prefix + f"discord varies with measurement phase by {worst[k]:.3e}; "
+            prefix + f"discord varies with measurement phase by {worst[i]:.3e}; "
             "input is outside the X-form class this minimizer assumes",
             index=k,
         )
 
-    # the coarse scan keeps each state's grid minimum, not its whole row
     grid = np.linspace(0.0, math.pi, THETA_COARSE_STEPS)
-    k, k_value = np.empty(len(rhos), dtype=np.intp), np.empty(len(rhos))
-    for part, values in _discord_slices(rhos, parts, grid, 0.0):
-        k[part] = np.argmin(values, axis=1)
-        k_value[part] = values[np.arange(len(values)), k[part]]
+    k, k_value = _coarse_minimum(rhos, parts, grid)
 
     # golden-section search on [grid[k-1], grid[k+1]], one kernel call per
     # step for every state whose bracket is still wider than the tolerance

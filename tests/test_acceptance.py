@@ -15,11 +15,10 @@ from ecswerner import verify
 from ecswerner.catstates import StateFamily, cat_params, ecs_concurrence
 from ecswerner.cli import main
 from ecswerner.discord import (
-    MeasurementBasis,
-    discord_at,
     discord_min,
     discord_profile,
     werner_discord_closed,
+    zurek_density,
     zurek_discord,
 )
 from ecswerner.entanglement import concurrence_closed, concurrence_mixed, eof
@@ -140,17 +139,12 @@ def test_criterion_9_property_suites(tmp_path):
             failures.append(f"normalization identity at {mp}")
 
     # phase invariance across the benchmark state and all four families
-    from ecswerner.discord import zurek_density
-
-    states = [zurek_density(0.6)] + [
-        werner_density(WernerSpec(f, 0.45, cat_params(0.3))) for f in StateFamily
-    ]
-    for i, rho in enumerate(states):
-        for theta in np.linspace(0.0, math.pi, 5):
-            base = discord_at(rho, MeasurementBasis(float(theta), 0.0)).value
-            for phi in (0.5, 1.0, 2.0, 3.0):
-                if abs(discord_at(rho, MeasurementBasis(float(theta), phi)).value - base) >= 1e-10:
-                    failures.append(f"phase invariance state {i}")
+    states = np.array([zurek_density(0.6)] + [werner_density(WernerSpec(f, 0.45, cat_params(0.3))) for f in StateFamily])
+    thetas = np.linspace(0.0, math.pi, 5)
+    base = discord_profile(states, thetas, 0.0)
+    for phi in (0.5, 1.0, 2.0, 3.0):
+        if not np.max(np.abs(discord_profile(states, thetas, phi) - base)) < 1e-10:
+            failures.append(f"phase invariance at phi = {phi}")
 
     # angle periodicity of the closed-form surface
     for a in (0.0, 0.4, 0.9):
@@ -159,15 +153,11 @@ def test_criterion_9_property_suites(tmp_path):
                 failures.append("angle periodicity")
 
     # non-negativity and positive semidefiniteness across the grid
-    for family in StateFamily:
-        for mp in (0.01, 0.5, 5.0):
-            p = cat_params(mp)
-            for a in A_GRID[::2]:
-                rho = werner_density(WernerSpec(family, float(a), p))
-                if float(eigvals_hermitian(rho)[-1]) < -1e-12:
-                    failures.append("PSD")
-                if float(discord_profile(rho, THETA_GRID_19).min()) < -1e-9:
-                    failures.append("non-negativity")
+    grid = np.concatenate([werner_stack(f, A_GRID[::2], cat_params(mp)) for f in StateFamily for mp in (0.01, 0.5, 5.0)])
+    if not np.min(eigvals_hermitian(grid)[:, -1]) >= -1e-12:
+        failures.append("PSD")
+    if not np.min(discord_profile(grid, THETA_GRID_19)) >= -1e-9:
+        failures.append("non-negativity")
 
     # CLI determinism: identical config gives byte-identical files
     out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"

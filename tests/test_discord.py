@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ecswerner import discord
 from ecswerner.catstates import StateFamily, cat_params
+from ecswerner.cli import DEFAULT_ALPHA2
 from ecswerner.discord import (
     MIN_SLICE_STATES,
     MeasurementBasis,
@@ -36,7 +37,7 @@ from ecswerner.qmatrix import (
     von_neumann_entropy,
     xlogx,
 )
-from ecswerner.werner import WernerSpec, werner_density
+from ecswerner.werner import WernerSpec, werner_density, werner_stack
 
 I4 = np.eye(4, dtype=complex) / 4.0
 
@@ -494,6 +495,150 @@ def test_stacked_min_matches_per_state(states):
 
 def test_stacked_min_of_empty_stack():
     assert discord_min(np.zeros((0, 4, 4), dtype=complex)) == []
+
+
+# -- discord_min: the screened coarse scan and the structural phase test --------
+
+def exact_scan(rhos, parts, grid):
+    """The coarse scan as one exact pass: every grid discord, then each row's first argmin and its value."""
+    values = discord._sliced_discord(rhos, parts, grid, 0.0)
+    k = np.argmin(values, axis=1)
+    return k, values[np.arange(len(k)), k]
+
+
+def result_hexes(results):
+    return [
+        hexes([r.value, r.theta_min, r.mutual_info, r.classical_corr, *r.probabilities]) for r in results
+    ]
+
+
+@st.composite
+def complex_x_states(draw):
+    """An X state with one complex coherence pair, rho_14 or rho_23: its discord does not depend on the phase."""
+    d = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)))
+    d = d / d.sum()
+    i, j = draw(st.sampled_from([(0, 3), (1, 2)]))
+    r, chi = draw(st.floats(0.0, 1.0)), draw(angles)
+    rho = np.diag(d).astype(complex)
+    rho[i, j] = r * math.sqrt(d[i] * d[j]) * complex(math.cos(chi), math.sin(chi))
+    rho[j, i] = rho[i, j].conjugate()
+    return rho
+
+
+# library states whose lowest estimated and lowest exact grid discords lie
+# at different grid points (found by a search over the four families)
+SCREEN_SENSITIVE = (
+    (0.13625118258762414, 8.612238187780266, StateFamily.PSI_MINUS),
+    (0.02715373512239183, 1.5127941902634963, StateFamily.PSI_MINUS),
+    (6.920593441383789e-07, 1.6413434770864046, StateFamily.PHI_PLUS),
+    (0.32803786201280594, 7.6569941421649705, StateFamily.PSI_PLUS),
+    (0.016921535237545898, 0.001264790721547033, StateFamily.PHI_MINUS),
+)
+
+min_states = st.one_of(
+    measured_states(),
+    st.sampled_from([I4, quasi(0.0, 0.5), quasi(1e-6, 0.5), quasi(1e-6, 5.0, StateFamily.PHI_MINUS)]),
+    st.sampled_from(SCREEN_SENSITIVE).map(lambda args: quasi(*args)),
+    st.builds(quasi, st.floats(0.0, 1.0), st.floats(1e-3, 20.0), st.sampled_from([StateFamily.PSI_MINUS, StateFamily.PHI_MINUS])),
+    complex_x_states(),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(min_states, min_size=MIN_SLICE_STATES + 1, max_size=40))
+def test_min_matches_the_exact_scan(states):
+    # the screened coarse scan finds the exact scan's k and value, so every
+    # field of every result is the same float, on stacks that cross the slice
+    # size and mix flat (Werner psi-/phi-, I/4), nearly flat (a = 1e-6) and
+    # complex states
+    stack = np.array(states)
+    with mock.patch.object(discord, "_coarse_minimum", exact_scan):
+        want = discord_min(stack)
+    assert result_hexes(discord_min(stack)) == result_hexes(want)
+
+
+def test_min_matches_the_exact_scan_where_the_estimate_misplaces_the_minimum():
+    stack = np.array([quasi(*args) for args in SCREEN_SENSITIVE])
+    grid = np.linspace(0.0, math.pi, discord.THETA_COARSE_STEPS)
+    parts = discord._discord_parts(stack)
+    spectra = discord._spectra(stack, grid, 0.0)[1]
+    estimate = discord._discord(parts, discord._entropy_sum(spectra, discord._xlogx_estimate))
+    assert (np.argmin(estimate, axis=1) != exact_scan(stack, parts, grid)[0]).all()
+    with mock.patch.object(discord, "_coarse_minimum", exact_scan):
+        want = discord_min(stack)
+    assert result_hexes(discord_min(stack)) == result_hexes(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(real_states(), min_size=1, max_size=20), st.lists(kernel_angles, min_size=1, max_size=30))
+def test_scan_estimate_is_within_its_bound(states, thetas):
+    # the np.log2 estimate stays a hundred times inside the screening
+    # tolerance, and the exact sum of the same spectra is the kernel's value
+    rhos = require_density_stack(np.array(states, dtype=complex), dim=4)
+    parts = discord._discord_parts(rhos)
+    spectra = discord._spectra(rhos, thetas, 0.0)[1]
+    estimate = discord._discord(parts, discord._entropy_sum(spectra, discord._xlogx_estimate))
+    exact = discord._discord(parts, discord._entropy_sum(spectra, _xlogx))
+    assert hexes(exact) == hexes(discord_profile(rhos, thetas))
+    assert np.max(np.abs(estimate - exact)) <= discord._SCREEN_TOL / 100
+
+
+def real_x_state_with_two_pairs():
+    """A real X state with diagonal 1/4, rho_14 = 0.25 and rho_23 = 0.1: its discord moves with the phase."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = rho[3, 0] = 0.25
+    rho[1, 2] = rho[2, 1] = 0.1
+    return rho
+
+
+def test_phase_free_states():
+    library = [quasi(a, mp, f) for f in StateFamily for a in (0.0, 0.4, 1.0) for mp in (1e-3, 0.5, 5.0)]
+    library += [I4, zurek_density(0.3)]
+    assert discord._phase_free(np.array(library)).all()
+    off_x = quasi(0.4, 0.5)
+    off_x[0, 1] = off_x[1, 0] = 1e-3
+    assert not discord._phase_free(np.array([real_x_state_with_two_pairs(), random_state(7), off_x])).any()
+
+
+@pytest.mark.parametrize("k", [0, 5, 16, 22])
+def test_two_pair_x_state_is_probed(k):
+    # X form is not enough to skip the phase probe: with both coherence
+    # pairs nonzero the state is probed, and raises with the probe's
+    # deviation and its position
+    stack = [quasi(float(a), 0.5) for a in np.linspace(0.0, 1.0, 24)]
+    stack[k] = real_x_state_with_two_pairs()
+    probe = np.array([discord_profile(stack[k], discord.PHI_PROBE_THETAS, phi) for phi in discord.PHI_PROBE])
+    worst = float(np.max(np.abs(probe[1:] - probe[:1])))
+    assert worst > 0.1
+    expected = (
+        f"state {k}: discord varies with measurement phase by {worst:.3e}; "
+        "input is outside the X-form class this minimizer assumes"
+    )
+    with pytest.raises(NumericalIntegrityError) as info:
+        discord_min(np.array(stack))
+    assert str(info.value) == expected and info.value.index == k
+
+
+def test_sweep_min_skips_the_probe_and_screens_the_scan():
+    # the default quasi-curves stack: no complex einsum call (the phase
+    # probe's) and about a fifth of the exact xlogx values of a full scan
+    rhos = np.concatenate([werner_stack(StateFamily.PSI_PLUS, np.linspace(0.0, 1.0, 101), cat_params(mp))
+                           for mp in DEFAULT_ALPHA2])
+    subscripts, values = [], []
+    real_einsum = np.einsum
+
+    def einsum(spec, *operands, **kwargs):
+        subscripts.append(spec)
+        return real_einsum(spec, *operands, **kwargs)
+
+    def counting_xlogx(p):
+        values.append(np.size(p))
+        return _xlogx(p)
+
+    with mock.patch.object(discord.np, "einsum", einsum), mock.patch.object(discord, "_xlogx", counting_xlogx):
+        discord_min(rhos)
+    assert "sabcd,snjb,snjd->snjac" not in subscripts
+    assert 0 < sum(values) <= 150_000
 
 
 # -- closed forms ---------------------------------------------------------------
