@@ -13,8 +13,10 @@ defaults.  The config file is flat "key = value" text; see README.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -95,26 +97,25 @@ class SweepConfig:
 
 # ---------------------------------------------------------------------------
 # row generators (one per subcommand); each returns the column names and
-# the rows as a structured array, one field per column
+# the rows as a Table
 
-def _table(columns, *arrays):
-    """Rows from whole column arrays, as a structured array with one field per column."""
-    arrays = [np.asarray(x) for x in arrays]
-    table = np.empty(len(arrays[0]), dtype=[(name, x.dtype) for name, x in zip(columns, arrays)])
-    for name, x in zip(columns, arrays):
-        table[name] = x
-    return table
+class Table:
+    """A sweep's rows: the 1-D grid axes in column order, the last fastest, then one flat array per other column."""
 
+    __slots__ = ("axes", "values")
 
-def _grid(*axes):
-    """One column per axis, one row per point of their product, the last axis fastest."""
-    return [column.ravel() for column in np.meshgrid(*axes, indexing="ij")]
+    def __init__(self, axes, values):
+        self.axes = [np.asarray(x) for x in axes]
+        self.values = [np.asarray(x) for x in values]
+
+    def __len__(self):
+        return math.prod(map(len, self.axes))
 
 
 def zurek_surface_rows(cfg):
     columns = ["a", "theta", "D"]
     d = zurek_discord(cfg.a_grid[:, None], cfg.theta_grid)
-    return columns, _table(columns, *_grid(cfg.a_grid, cfg.theta_grid), d.ravel())
+    return columns, Table([cfg.a_grid, cfg.theta_grid], [d.ravel()])
 
 
 def quasi_surface_rows(cfg):
@@ -130,8 +131,8 @@ def quasi_surface_rows(cfg):
     # the theta grid starts at exactly 0, so its first column is the theta = 0 reference
     flagged = (np.abs(closed - closed[:, :1]) > BASIS_FLAG_TOL).astype(np.int64)
     closed, piped = closed.ravel(), np.concatenate(piped).ravel()
-    grid = _grid(cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid)
-    return columns, _table(columns, *grid, closed, piped, np.abs(closed - piped), flagged.ravel())
+    grid = [cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid]
+    return columns, Table(grid, [closed, piped, np.abs(closed - piped), flagged.ravel()])
 
 
 def werner_curves_rows(cfg):
@@ -140,7 +141,7 @@ def werner_curves_rows(cfg):
     # and carry no mean-photon dependence at all
     e = eof(_closed_concurrence(StateFamily.PSI_MINUS, cfg.a_grid, cat_params(1.0)))
     delta = werner_discord_closed(cfg.a_grid)
-    return columns, _table(columns, cfg.a_grid, e, delta, delta - e)
+    return columns, Table([cfg.a_grid], [e, delta, delta - e])
 
 
 def quasi_curves_rows(cfg):
@@ -152,7 +153,7 @@ def quasi_curves_rows(cfg):
         minima = discord_min(np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in params]))
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
     delta = np.array([res.value for res in minima])
-    return columns, _table(columns, *_grid(cfg.mean_photon_list, cfg.a_grid), e, delta, delta - e)
+    return columns, Table([cfg.mean_photon_list, cfg.a_grid], [e, delta, delta - e])
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +163,9 @@ def quasi_curves_rows(cfg):
 WRITE_BLOCK_ROWS = 4096
 
 
-# the text of a float; a bound method, so map() formats a column without a
-# Python function call per value
-_fmt = "%.15g".__mod__
+# a float's text is "%.15g" % x; float.__format__ runs the same routine with less work per value
+_FLOAT_SPEC = ".15g"
+_fmt = ("%" + _FLOAT_SPEC).__mod__
 
 
 def _format_column(values):
@@ -174,41 +175,57 @@ def _format_column(values):
     """
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     keys = keys.view(values.dtype).tolist()
-    text = list(map(str if values.dtype.kind == "i" else _fmt, keys))
+    text = list(map(str, keys) if values.dtype.kind == "i" else map(float.__format__, keys, itertools.repeat(_FLOAT_SPEC)))
     return np.array(text, dtype=object)[inverse].tolist()
 
 
 def write_rows(path, fmt, columns, rows):
-    """Write rows to path atomically.
+    """Write rows, a Table, to path atomically.
 
-    rows is a structured array with one field per column.  A non-finite
-    value raises ValueError naming its column before anything is written.
-    The rows go out in blocks of WRITE_BLOCK_ROWS; in CSV each distinct
-    value of a column is formatted once per block.  The data goes to a
-    temporary file in the target directory, which then replaces path; a
-    write that fails leaves an existing file at path untouched and removes
-    the temporary file.
+    A non-finite value raises ValueError naming its column and first row
+    (for an axis entry, the first row that uses it) before anything is
+    written.  The rows go out in blocks of WRITE_BLOCK_ROWS; in CSV each
+    axis value is formatted once per file, each other distinct value once
+    per block.  The data goes to a temporary file in the target directory,
+    which then replaces path; a write that fails leaves an existing file at
+    path untouched and removes the temporary file.
     """
-    for column, field in zip(columns, rows.dtype.names):
-        finite = np.isfinite(rows[field])
-        if not finite.all():
-            raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite))}")
-    blocks = (rows[start : start + WRITE_BLOCK_ROWS] for start in range(0, len(rows), WRITE_BLOCK_ROWS))
+    n, axes = len(rows), rows.axes
+    if n:
+        strides = [math.prod(map(len, axes[i + 1 :])) for i in range(len(axes))] + [1] * len(rows.values)
+        for column, x, stride in zip(columns, axes + rows.values, strides):
+            finite = np.isfinite(x)
+            if not finite.all():
+                raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite)) * stride}")
+    starts = range(0, n, WRITE_BLOCK_ROWS)
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
                 fh.write(",".join(columns) + "\n")
-                for block in blocks:
-                    text = [_format_column(block[field]) for field in rows.dtype.names]
-                    fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+                *outer, last = ([text + "," for text in _format_column(axis)] for axis in axes)
+                prefixes = list(map("".join, itertools.product(*outer)))  # one per outer grid point
+                width = len(last)
+                for start in starts:
+                    stop = min(start + WRITE_BLOCK_ROWS, n)
+                    tails = list(map(",".join, zip(*(_format_column(x[start:stop]) for x in rows.values))))
+                    runs = []
+                    # the block's rows in runs, one per outer grid point it reaches
+                    for first in range(start - start % width, stop, width):
+                        lo, hi = max(start, first), min(stop, first + width)
+                        cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
+                        runs.append(prefixes[first // width] + ("\n" + prefixes[first // width]).join(cells))
+                    fh.write("\n".join(runs) + "\n")
             else:
                 # one JSON array: each block's records without the block's brackets
                 encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+                keys = itertools.product(*(axis.tolist() for axis in axes))
                 fh.write("[")
-                for i, block in enumerate(blocks):
-                    records = [dict(zip(columns, row)) for row in block.tolist()]
+                for i, start in enumerate(starts):
+                    block = zip(*(x[start : start + WRITE_BLOCK_ROWS].tolist() for x in rows.values))
+                    # the block first: zip stops at its end without taking the next block's key
+                    records = [dict(zip(columns, key + row)) for row, key in zip(block, keys)]
                     fh.write(("," if i else "") + encode(records)[1:-1])
                 fh.write("]\n")
         os.replace(tmp, path)

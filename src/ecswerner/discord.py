@@ -463,12 +463,15 @@ def zurek_discord(a, theta):
     """
     a = _unit_interval(a, "coherence parameter")
     g = np.sqrt(1.0 - (1.0 - a * a) * _squared(math.sin, 2.0 * np.asarray(theta, dtype=float)))
+    # _xlogx is elementwise: take each distinct g through the logs once
+    distinct, where = np.unique(g, return_inverse=True)
+    where = where.reshape(g.shape)  # numpy < 2 returns it flat
     return _scalar_or_array(
         1.0
         + _xlogx((1.0 + a) / 2.0)
         + _xlogx((1.0 - a) / 2.0)
-        - _xlogx((1.0 + g) / 2.0)
-        - _xlogx((1.0 - g) / 2.0)
+        - _xlogx((1.0 + distinct) / 2.0)[where]
+        - _xlogx((1.0 - distinct) / 2.0)[where]
     )
 
 

@@ -340,7 +340,7 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     # second block of rows, or when the finished file would replace the old one
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
-    table = cli._table(["a", "b"], [0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    table = cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]])
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     seen = []
 
@@ -370,7 +370,7 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
 def test_write_replaces_existing_output(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
-    write_rows(str(out), "csv", ["a", "b"], cli._table(["a", "b"], [0.5], [1]))
+    write_rows(str(out), "csv", ["a", "b"], cli.Table([[0.5]], [[1]]))
     assert out.read_text(encoding="utf-8") == "a,b\n0.5,1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -390,7 +390,7 @@ def test_writer_matches_per_value_formatting(rows, block_rows):
         "csv": "a,b,flag\n" + "".join(f"{'%.15g' % a},{'%.15g' % b},{flag}\n" for a, b, flag in rows),
         "json": json.dumps([dict(zip(columns, row)) for row in rows], separators=(",", ":")) + "\n",
     }
-    table = cli._table(columns, *([row[i] for row in rows] for i in range(len(columns))))
+    table = cli.Table([[row[0] for row in rows]], ([row[i] for row in rows] for i in (1, 2)))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
         for fmt in ("csv", "json"):
@@ -399,13 +399,72 @@ def test_writer_matches_per_value_formatting(rows, block_rows):
             assert out.read_text(encoding="utf-8") == expected[fmt]
 
 
+grid_axes = st.lists(st.lists(column_values, max_size=5), min_size=1, max_size=3)
+value_kinds = st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=3)
+
+
+def cell_text(x):
+    return "%.15g" % x if isinstance(x, float) else str(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_axes, value_kinds, st.integers(1, 7), st.data())
+def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, data):
+    # a row per point of the axes' product, the last axis fastest, then the
+    # row's values; blocks of a few rows split the last axis's runs
+    n = math.prod(map(len, axes))
+    cells = {"float": column_values, "int": st.integers(-(2**63), 2**63 - 1)}
+    values = [data.draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
+    columns = [f"x{i}" for i in range(len(axes))] + [f"v{i}" for i in range(len(values))]
+    rows = [point + row for point, row in zip(itertools.product(*axes), zip(*values))]
+    expected = {
+        "csv": ",".join(columns) + "\n" + "".join(",".join(map(cell_text, row)) + "\n" for row in rows),
+        "json": json.dumps([dict(zip(columns, row)) for row in rows], separators=(",", ":")) + "\n",
+    }
+    table = cli.Table(axes, values)
+    assert len(table) == n
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        for fmt in ("csv", "json"):
+            out = Path(tmp) / "out"
+            write_rows(str(out), fmt, columns, table)
+            assert out.read_text(encoding="utf-8") == expected[fmt]
+
+
+FLOAT_FORMAT_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e15, 1e16, 999999999999999.9,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.sampled_from(FLOAT_FORMAT_EDGES), st.floats()))
+def test_float_format_matches_percent_format(x):
+    # the writer formats floats with float.__format__; its text is "%.15g"'s
+    assert float.__format__(x, ".15g") == "%.15g" % x
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("axes, message", [
+    ([[0.5, 1.0], [0.0, math.nan, 1.0]], "non-finite value in column t at row 1"),
+    ([[0.5, math.inf], [0.0, 0.5, 1.0]], "non-finite value in column a at row 3"),
+    ([[0.5, 1.0, -math.inf], [0.0, 0.5]], "non-finite value in column a at row 4"),
+])
+def test_write_rejects_non_finite_axis_entry_at_its_first_row(tmp_path, fmt, axes, message):
+    out = tmp_path / "out.csv"
+    table = cli.Table(axes, [np.zeros(6)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_rows(str(out), fmt, ["a", "t", "v"], table)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_write_rejects_non_finite_value(tmp_path, fmt, bad):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-finite value in column b at row 1"):
-        write_rows(str(out), fmt, ["a", "b"], cli._table(["a", "b"], [0.5, 0.5], [1.0, bad]))
+        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.5, 0.5]], [[1.0, bad]]))
     assert out.read_text(encoding="utf-8") == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -416,7 +475,7 @@ def test_non_finite_output_exits_4(tmp_path, capsys, monkeypatch, fmt):
 
     def rows_with_nan(cfg):
         columns, rows = real(cfg)
-        rows["delta"][2] = math.nan
+        rows.values[1][2] = math.nan
         return columns, rows
 
     monkeypatch.setattr(cli, "werner_curves_rows", rows_with_nan)

@@ -806,6 +806,56 @@ def test_closed_forms_over_arrays_match_scalar(a_values, mp, theta_values):
     assert [type(v) for v in quasi_probabilities(x, p, t)] == [float, float]
 
 
+def array_reference_zurek(a, theta):
+    """zurek_discord with every g taken through the logs, as before it took each distinct g once."""
+    a = np.asarray(a, dtype=float)
+    g = np.sqrt(1.0 - (1.0 - a * a) * discord._squared(math.sin, 2.0 * np.asarray(theta, dtype=float)))
+    return discord._scalar_or_array(
+        1.0
+        + _xlogx((1.0 + a) / 2.0)
+        + _xlogx((1.0 - a) / 2.0)
+        - _xlogx((1.0 + g) / 2.0)
+        - _xlogx((1.0 - g) / 2.0)
+    )
+
+
+ZUREK_A = np.linspace(0.0, 1.0, 41)
+ZUREK_THETA = np.linspace(-math.pi, math.pi, 73)
+
+
+@pytest.mark.parametrize(
+    "a, theta",
+    [
+        (0.3, 0.7),
+        (0.0, math.pi / 8.0),
+        (1.0, -2.0),
+        (ZUREK_A[:, None], ZUREK_THETA),
+        (np.array([[0.0], [1.0]]), ZUREK_THETA),
+        (np.array([0.0, 1.0]), np.array([0.4, 0.4])),
+        (np.random.default_rng(5).uniform(0.0, 1.0, 50), np.random.default_rng(6).uniform(-4.0, 4.0, 50)),
+        (np.full(30, 0.5), np.repeat(ZUREK_THETA[:10], 3)),
+    ],
+)
+def test_zurek_matches_the_every_g_reference(a, theta):
+    got, want = zurek_discord(a, theta), array_reference_zurek(a, theta)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert hexes(got) == hexes(want)
+
+
+def test_zurek_default_grid_takes_distinct_g_through_the_logs():
+    # the default zurek-surface grid: 361,361 points, 126,503 distinct g,
+    # so 2 x 126,503 + 2 x 1,001 values in place of 724,724
+    values = []
+
+    def counting_xlogx(p):
+        values.append(np.size(p))
+        return _xlogx(p)
+
+    with mock.patch.object(discord, "_xlogx", counting_xlogx):
+        zurek_discord(np.linspace(0.0, 1.0, 1001)[:, None], np.linspace(-math.pi, math.pi, 361))
+    assert 0 < sum(values) <= 260_000
+
+
 @settings(max_examples=80, deadline=None)
 @given(mixings)
 def test_werner_closed_and_zurek_density_over_arrays_match_scalar(a_values):
