@@ -18,6 +18,8 @@ import json
 import math
 import operator
 import os
+import pickle
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -179,6 +181,96 @@ def _format_column(values):
     return np.array(text, dtype=object)[inverse].tolist()
 
 
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_blocks(fh, fmt, columns, rows, starts, csv_axes):
+    """Write the blocks of rows that begin at starts, a contiguous range of block starts, to fh.
+
+    CSV takes csv_axes, the text of each outer grid point (one prefix each)
+    and of each last-axis value, every cell with its trailing comma.  JSON
+    writes each block's records without the block's brackets, after a comma
+    unless the block is the file's first.
+    """
+    n = len(rows)
+    if fmt == "csv":
+        prefixes, last = csv_axes
+        width = len(last)
+        for start in starts:
+            stop = min(start + WRITE_BLOCK_ROWS, n)
+            tails = list(map(",".join, zip(*(_format_column(x[start:stop]) for x in rows.values))))
+            runs = []
+            # the block's rows in runs, one per outer grid point it reaches
+            for first in range(start - start % width, stop, width):
+                lo, hi = max(start, first), min(stop, first + width)
+                cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
+                runs.append(prefixes[first // width] + ("\n" + prefixes[first // width]).join(cells))
+            fh.write("\n".join(runs) + "\n")
+    else:
+        encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+        keys = itertools.islice(itertools.product(*(axis.tolist() for axis in rows.axes)), starts.start, None)
+        for start in starts:
+            block = zip(*(x[start : start + WRITE_BLOCK_ROWS].tolist() for x in rows.values))
+            # the block first: zip stops at its end without taking the next block's key
+            records = [dict(zip(columns, key + row)) for row, key in zip(block, keys)]
+            fh.write(("," if start else "") + encode(records)[1:-1])
+
+
+def _fork_writer(part, *args):
+    """Write _write_blocks(fh, *args) to the file part in a forked worker.
+
+    Returns the worker's pid and the read end of a pipe, which carries the
+    worker's exception, pickled, if it fails.  The worker leaves through
+    os._exit, so it runs none of the caller's cleanup and flushes none of
+    its buffers.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(part, "w", encoding="utf-8", newline="") as fh:
+                _write_blocks(fh, *args)
+            status = 0
+        except BaseException as exc:
+            with contextlib.suppress(BaseException), open(w, "wb") as pipe:
+                pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _join_writer(workers):
+    """Wait for the first worker of workers, a list of (pid, pipe), and drop it; raise its exception if it failed."""
+    pid, pipe = workers[0]
+    error = pipe.read()
+    pipe.close()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del workers[0]
+    if error:
+        raise pickle.loads(error)
+    if status:
+        raise ChildProcessError(f"writer process {pid} exited with status {status}")
+
+
+def _stop_writers(workers):
+    """Terminate and reap every worker of workers, a list of (pid, pipe)."""
+    import signal  # only a failed write needs it, and it costs about 1 ms at import
+
+    for pid, pipe in workers:
+        pipe.close()
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def write_rows(path, fmt, columns, rows):
     """Write rows, a Table, to path atomically.
 
@@ -186,9 +278,22 @@ def write_rows(path, fmt, columns, rows):
     (for an axis entry, the first row that uses it) before anything is
     written.  The rows go out in blocks of WRITE_BLOCK_ROWS; in CSV each
     axis value is formatted once per file, each other distinct value once
-    per block.  The data goes to a temporary file in the target directory,
-    which then replaces path; a write that fails leaves an existing file at
-    path untouched and removes the temporary file.
+    per block.
+
+    The blocks are cut into W contiguous ranges, W the smaller of the block
+    count and the number of CPUs this process may run on (1 where os.fork
+    does not exist); no flag, config key or environment variable sets it.
+    This process writes the header and the first range to a temporary file
+    in the target directory.  Each other range goes to a forked worker,
+    which writes it to a part file beside the temporary file; the parts are
+    appended in order, and the temporary file then replaces path.  The
+    bytes are the same for any W.  Forking is safe here: only this writer
+    forks, and a worker only formats and writes, calling no BLAS routine,
+    so it never needs numpy's BLAS thread, which a forked child lacks
+    (Python 3.12 and later warn about fork in a process with threads).  A
+    write that fails, here or in a worker, or an interrupt stops and reaps
+    every worker, leaves an existing file at path untouched and removes the
+    part files and the temporary file.
     """
     n, axes = len(rows), rows.axes
     if n:
@@ -197,41 +302,42 @@ def write_rows(path, fmt, columns, rows):
             finite = np.isfinite(x)
             if not finite.all():
                 raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite)) * stride}")
+    if fmt == "csv":
+        head, foot = ",".join(columns) + "\n", ""
+        *outer, last = ([text + "," for text in _format_column(axis)] for axis in axes)
+        csv_axes = list(map("".join, itertools.product(*outer))), last
+    else:
+        head, foot, csv_axes = "[", "]\n", None
     starts = range(0, n, WRITE_BLOCK_ROWS)
+    count = max(1, min(len(starts), _cpu_count())) if hasattr(os, "fork") else 1
+    size, extra = divmod(len(starts), count)
+    # the last ranges take the extra blocks: the first one's process also appends the parts
+    cuts = [k * size + max(0, k + extra - count) for k in range(count + 1)]
+    ranges = [starts[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    parts = [f"{tmp}.{k}" for k in range(1, count)]
+    workers = []
     try:
+        # the workers fork before the temporary file opens, so they inherit none of its buffer
+        for part, blocks in zip(parts, ranges[1:]):
+            workers.append(_fork_writer(part, fmt, columns, rows, blocks, csv_axes))
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "csv":
-                fh.write(",".join(columns) + "\n")
-                *outer, last = ([text + "," for text in _format_column(axis)] for axis in axes)
-                prefixes = list(map("".join, itertools.product(*outer)))  # one per outer grid point
-                width = len(last)
-                for start in starts:
-                    stop = min(start + WRITE_BLOCK_ROWS, n)
-                    tails = list(map(",".join, zip(*(_format_column(x[start:stop]) for x in rows.values))))
-                    runs = []
-                    # the block's rows in runs, one per outer grid point it reaches
-                    for first in range(start - start % width, stop, width):
-                        lo, hi = max(start, first), min(stop, first + width)
-                        cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
-                        runs.append(prefixes[first // width] + ("\n" + prefixes[first // width]).join(cells))
-                    fh.write("\n".join(runs) + "\n")
-            else:
-                # one JSON array: each block's records without the block's brackets
-                encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
-                keys = itertools.product(*(axis.tolist() for axis in axes))
-                fh.write("[")
-                for i, start in enumerate(starts):
-                    block = zip(*(x[start : start + WRITE_BLOCK_ROWS].tolist() for x in rows.values))
-                    # the block first: zip stops at its end without taking the next block's key
-                    records = [dict(zip(columns, key + row)) for row, key in zip(block, keys)]
-                    fh.write(("," if i else "") + encode(records)[1:-1])
-                fh.write("]\n")
+            fh.write(head)
+            _write_blocks(fh, fmt, columns, rows, ranges[0], csv_axes)
+            fh.flush()
+            for part in parts:
+                _join_writer(workers)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+                os.remove(part)
+            fh.write(foot)
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        _stop_writers(workers)
+        for leftover in (*parts, tmp):
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
         raise
 
 

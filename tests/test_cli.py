@@ -1,8 +1,11 @@
 import hashlib
 import itertools
 import json
+import errno
 import math
+import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +345,8 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     out.write_text("old contents\n", encoding="utf-8")
     table = cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]])
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    # one range of blocks, all written by this process (the cases with a worker follow)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     seen = []
 
     def fail(*args):
@@ -367,6 +372,99 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     assert len(seen) == 4
 
 
+def fail_in_range(where, error):
+    """A stand-in for cli._write_blocks that raises error(fh) in each range of block starts where(starts) holds."""
+    real = cli._write_blocks
+
+    def write_blocks(fh, fmt, columns, rows, starts, csv_axes):
+        if where(starts):
+            raise error(fh)
+        real(fh, fmt, columns, rows, starts, csv_axes)
+
+    return write_blocks
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["worker", "append"])
+def test_failed_write_with_a_worker_keeps_existing_output(tmp_path, monkeypatch, fmt, where):
+    # two ranges of blocks: this process writes row 0, a forked worker rows 1-2
+    out = tmp_path / "out.csv"
+    out.write_text("old contents\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    if where == "worker":
+        # the message names the process that raised it
+        in_worker = fail_in_range(lambda starts: starts.start, lambda fh: OSError(f"disk full in {os.getpid()}"))
+        monkeypatch.setattr(cli, "_write_blocks", in_worker)
+        message = r"^disk full in \d+$"
+    else:
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.shutil, "copyfileobj", fail)
+        message = "^disk full$"
+    with pytest.raises(OSError, match=message) as raised:
+        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]]))
+    if where == "worker":
+        assert int(str(raised.value).split()[-1]) != os.getpid()
+    assert out.read_text(encoding="utf-8") == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_interrupt_stops_the_workers_and_keeps_existing_output(tmp_path, monkeypatch, fmt):
+    out = tmp_path / "out.csv"
+    out.write_text("old contents\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+
+    def write_blocks(fh, fmt, columns, rows, starts, csv_axes):
+        if starts.start:
+            time.sleep(60)  # the worker is still writing when this process is interrupted
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_blocks", write_blocks)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]]))
+    assert time.monotonic() - t0 < 30  # the sleeping worker was stopped, not waited for
+    assert out.read_text(encoding="utf-8") == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failure_in_the_last_range_exits_3_with_the_same_line(tmp_path, capsys, monkeypatch, cpus):
+    # the last of 15 one-row blocks fails, in this process (1 CPU) or in a worker (2)
+    out = tmp_path / "z.csv"
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    no_space = lambda fh: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), fh.name)  # noqa: E731
+    monkeypatch.setattr(cli, "_write_blocks", fail_in_range(lambda starts: 14 in starts, no_space))
+    assert main(["zurek-surface", "--a-steps", "3", "--theta-steps", "5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert_no_worker_left()
+
+
+def test_one_block_starts_no_worker(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a writer forked for a one-block file")
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    out = tmp_path / "out.csv"
+    n = cli.WRITE_BLOCK_ROWS
+    write_rows(str(out), "csv", ["a", "b"], cli.Table([np.zeros(n)], [np.ones(n)]))
+    assert out.read_text(encoding="utf-8") == "a,b\n" + "0,1\n" * n
+
+
 def test_write_replaces_existing_output(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
@@ -382,9 +480,10 @@ column_values = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(column_values, column_values, st.integers(0, 1)), max_size=30), st.integers(1, 7))
-def test_writer_matches_per_value_formatting(rows, block_rows):
-    # blocks of a few rows, so that a file spans several of them
+@given(st.lists(st.tuples(column_values, column_values, st.integers(0, 1)), max_size=30), st.integers(1, 7), st.integers(1, 3))
+def test_writer_matches_per_value_formatting(rows, block_rows, cpus):
+    # blocks of a few rows, so that a file spans several of them, written by
+    # up to three processes
     columns = ["a", "b", "flag"]
     expected = {
         "csv": "a,b,flag\n" + "".join(f"{'%.15g' % a},{'%.15g' % b},{flag}\n" for a, b, flag in rows),
@@ -393,10 +492,12 @@ def test_writer_matches_per_value_formatting(rows, block_rows):
     table = cli.Table([[row[0] for row in rows]], ([row[i] for row in rows] for i in (1, 2)))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        mp.setattr(cli, "_cpu_count", lambda: cpus)
         for fmt in ("csv", "json"):
             out = Path(tmp) / "out"
             write_rows(str(out), fmt, columns, table)
             assert out.read_text(encoding="utf-8") == expected[fmt]
+            assert os.listdir(tmp) == ["out"]
 
 
 grid_axes = st.lists(st.lists(column_values, max_size=5), min_size=1, max_size=3)
@@ -408,10 +509,11 @@ def cell_text(x):
 
 
 @settings(max_examples=80, deadline=None)
-@given(grid_axes, value_kinds, st.integers(1, 7), st.data())
-def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, data):
+@given(grid_axes, value_kinds, st.integers(1, 7), st.integers(1, 3), st.data())
+def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, cpus, data):
     # a row per point of the axes' product, the last axis fastest, then the
-    # row's values; blocks of a few rows split the last axis's runs
+    # row's values; blocks of a few rows split the last axis's runs, and the
+    # ranges of blocks of up to three processes split them too
     n = math.prod(map(len, axes))
     cells = {"float": column_values, "int": st.integers(-(2**63), 2**63 - 1)}
     values = [data.draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
@@ -425,10 +527,12 @@ def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, da
     assert len(table) == n
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        mp.setattr(cli, "_cpu_count", lambda: cpus)
         for fmt in ("csv", "json"):
             out = Path(tmp) / "out"
             write_rows(str(out), fmt, columns, table)
             assert out.read_text(encoding="utf-8") == expected[fmt]
+            assert os.listdir(tmp) == ["out"]
 
 
 FLOAT_FORMAT_EDGES = [
