@@ -445,7 +445,10 @@ def test_failure_in_the_last_range_exits_3_with_the_same_line(tmp_path, capsys, 
     out = tmp_path / "z.csv"
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-    no_space = lambda fh: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), fh.name)  # noqa: E731
+
+    def no_space(fh):
+        return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), fh.name)
+
     monkeypatch.setattr(cli, "_write_blocks", fail_in_range(lambda starts: 14 in starts, no_space))
     assert main(["zurek-surface", "--a-steps", "3", "--theta-steps", "5", "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
