@@ -52,41 +52,6 @@ class ConfigError(Exception):
     pass
 
 
-class SweepPointError(Exception):
-    """A numerical failure inside a sweep; the message names its (|alpha|^2, a) point."""
-
-
-@contextlib.contextmanager
-def _sweep_point(mean_photons, a_values):
-    """Re-raise a numerical failure in the block as SweepPointError.
-
-    The block handles one state per (|alpha|^2, a) point of mean_photons x
-    a_values, in stack order, a fastest.  The message names the point of
-    the failing state k, (mean_photons[k // A], a_values[k % A]) for A a
-    values, when the error carries k in its index (or the block handles
-    one state), and the ranges the block covers otherwise.
-    """
-    try:
-        yield
-    except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
-        index = getattr(exc, "index", None)
-        if index is None and len(mean_photons) * len(a_values) == 1:
-            index = 0
-        if index is None:
-            where = f"{_span('|alpha|^2', mean_photons)}, {_span('a', a_values)}"
-        else:
-            m, k = divmod(index, len(a_values))
-            where = f"|alpha|^2 = {_fmt(mean_photons[m])}, a = {_fmt(a_values[k])}"
-        raise SweepPointError(f"numerical failure at {where}: {exc}") from exc
-
-
-def _span(name, values):
-    """name = v for one value, name in [first, last] for several."""
-    if len(values) == 1:
-        return f"{name} = {_fmt(values[0])}"
-    return f"{name} in [{_fmt(values[0])}, {_fmt(values[-1])}]"
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     a_grid: np.ndarray
@@ -120,19 +85,20 @@ def zurek_surface_rows(cfg):
     return columns, Table([cfg.a_grid, cfg.theta_grid], [d.ravel()])
 
 
+def _quasi_stack(cfg):
+    """The cat parameters of each mean photon number and one stack of every (|alpha|^2, a) state, in row order."""
+    params = [cat_params(mp) for mp in cfg.mean_photon_list]
+    return params, np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in params])
+
+
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
-    a_col, a_values = cfg.a_grid[:, None], cfg.a_grid.tolist()
-    closed, piped = [], []
-    for mp in cfg.mean_photon_list:
-        p = cat_params(mp)
-        with _sweep_point((mp,), a_values):
-            piped.append(discord_profile(werner_stack(cfg.family, cfg.a_grid, p), cfg.theta_grid))
-        closed.append(discord_quasi_closed(a_col, p, cfg.theta_grid))
-    closed = np.concatenate(closed)
+    params, rhos = _quasi_stack(cfg)
+    piped = discord_profile(rhos, cfg.theta_grid).ravel()
+    closed = np.concatenate([discord_quasi_closed(cfg.a_grid[:, None], p, cfg.theta_grid) for p in params])
     # the theta grid starts at exactly 0, so its first column is the theta = 0 reference
     flagged = (np.abs(closed - closed[:, :1]) > BASIS_FLAG_TOL).astype(np.int64)
-    closed, piped = closed.ravel(), np.concatenate(piped).ravel()
+    closed = closed.ravel()
     grid = [cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid]
     return columns, Table(grid, [closed, piped, np.abs(closed - piped), flagged.ravel()])
 
@@ -148,11 +114,8 @@ def werner_curves_rows(cfg):
 
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
-    a_values = cfg.a_grid.tolist()
-    params = [cat_params(mp) for mp in cfg.mean_photon_list]
-    # one lockstep minimization over every (|alpha|^2, a) state, in row order
-    with _sweep_point(cfg.mean_photon_list, a_values):
-        minima = discord_min(np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in params]))
+    params, rhos = _quasi_stack(cfg)
+    minima = discord_min(rhos)  # one lockstep minimization over the whole stack
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
     delta = np.array([res.value for res in minima])
     return columns, Table([cfg.mean_photon_list, cfg.a_grid], [e, delta, delta - e])
@@ -165,20 +128,21 @@ def quasi_curves_rows(cfg):
 WRITE_BLOCK_ROWS = 4096
 
 
-# a float's text is "%.15g" % x; float.__format__ runs the same routine with less work per value
+# a CSV float's text is "%.15g" % x; float.__format__ runs the same routine with less work per value
 _FLOAT_SPEC = ".15g"
 _fmt = ("%" + _FLOAT_SPEC).__mod__
 
 
-def _format_column(values):
-    """The CSV text of each value of a column, formatting each distinct value once.
+def _format_column(values, spec, key):
+    """key before the text of each value of a column, formatting each distinct value once.
 
+    A float's text is float.__format__(x, spec), an integer's str(x).
     Distinct means distinct bits, so 0.0 and -0.0 keep their own text.
     """
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    keys = keys.view(values.dtype).tolist()
-    text = list(map(str, keys) if values.dtype.kind == "i" else map(float.__format__, keys, itertools.repeat(_FLOAT_SPEC)))
-    return np.array(text, dtype=object)[inverse].tolist()
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = distinct.view(values.dtype).tolist()
+    text = map(str, distinct) if values.dtype.kind == "i" else map(float.__format__, distinct, itertools.repeat(spec))
+    return np.array(list(map(key.__add__, text) if key else text), dtype=object)[inverse].tolist()
 
 
 def _cpu_count():
@@ -189,36 +153,28 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _write_blocks(fh, fmt, columns, rows, starts, csv_axes):
+def _write_blocks(fh, rows, starts, layout):
     """Write the blocks of rows that begin at starts, a contiguous range of block starts, to fh.
 
-    CSV takes csv_axes, the text of each outer grid point (one prefix each)
-    and of each last-axis value, every cell with its trailing comma.  JSON
-    writes each block's records without the block's brackets, after a comma
-    unless the block is the file's first.
+    layout holds the text of each outer grid point (one prefix each) and of
+    each last-axis value, every axis cell with its key and trailing comma;
+    then the float format spec and the key of each other column; then the
+    text between rows, after a block's last row and before a block that is
+    not the file's first.
     """
-    n = len(rows)
-    if fmt == "csv":
-        prefixes, last = csv_axes
-        width = len(last)
-        for start in starts:
-            stop = min(start + WRITE_BLOCK_ROWS, n)
-            tails = list(map(",".join, zip(*(_format_column(x[start:stop]) for x in rows.values))))
-            runs = []
-            # the block's rows in runs, one per outer grid point it reaches
-            for first in range(start - start % width, stop, width):
-                lo, hi = max(start, first), min(stop, first + width)
-                cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
-                runs.append(prefixes[first // width] + ("\n" + prefixes[first // width]).join(cells))
-            fh.write("\n".join(runs) + "\n")
-    else:
-        encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
-        keys = itertools.islice(itertools.product(*(axis.tolist() for axis in rows.axes)), starts.start, None)
-        for start in starts:
-            block = zip(*(x[start : start + WRITE_BLOCK_ROWS].tolist() for x in rows.values))
-            # the block first: zip stops at its end without taking the next block's key
-            records = [dict(zip(columns, key + row)) for row, key in zip(block, keys)]
-            fh.write(("," if start else "") + encode(records)[1:-1])
+    prefixes, last, spec, keys, between, end, lead = layout
+    n, width = len(rows), len(last)
+    for start in starts:
+        stop = min(start + WRITE_BLOCK_ROWS, n)
+        texts = (_format_column(x[start:stop], spec, key) for x, key in zip(rows.values, keys))
+        tails = list(map(",".join, zip(*texts)))
+        runs = []
+        # the block's rows in runs, one per outer grid point it reaches
+        for first in range(start - start % width, stop, width):
+            lo, hi = max(start, first), min(stop, first + width)
+            cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
+            runs.append(prefixes[first // width] + (between + prefixes[first // width]).join(cells))
+        fh.write((lead if start else "") + between.join(runs) + end)
 
 
 def _fork_writer(part, *args):
@@ -276,9 +232,11 @@ def write_rows(path, fmt, columns, rows):
 
     A non-finite value raises ValueError naming its column and first row
     (for an axis entry, the first row that uses it) before anything is
-    written.  The rows go out in blocks of WRITE_BLOCK_ROWS; in CSV each
-    axis value is formatted once per file, each other distinct value once
-    per block.
+    written.  The rows go out in blocks of WRITE_BLOCK_ROWS, each axis value
+    formatted once per file and each other distinct value once per block.
+    CSV and JSON share this layout and differ only in their text: JSON
+    writes each float as float.__repr__ does, which is json's text for a
+    finite float, and each cell after its column's key.
 
     The blocks are cut into W contiguous ranges, W the smaller of the block
     count and the number of CPUs this process may run on (1 where os.fork
@@ -303,11 +261,14 @@ def write_rows(path, fmt, columns, rows):
             if not finite.all():
                 raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite)) * stride}")
     if fmt == "csv":
-        head, foot = ",".join(columns) + "\n", ""
-        *outer, last = ([text + "," for text in _format_column(axis)] for axis in axes)
-        csv_axes = list(map("".join, itertools.product(*outer))), last
+        head, foot, spec, keys = ",".join(columns) + "\n", "", _FLOAT_SPEC, [""] * len(columns)
+        between, end, lead = "\n", "\n", ""
     else:
-        head, foot, csv_axes = "[", "]\n", None
+        # format(x, "") is float.__repr__(x)
+        head, foot, spec, keys = "[", "]\n", "", [json.dumps(column) + ":" for column in columns]
+        keys[0], between, end, lead = "{" + keys[0], "},", "}", ","
+    *outer, last = ([text + "," for text in _format_column(axis, spec, key)] for axis, key in zip(axes, keys))
+    layout = list(map("".join, itertools.product(*outer))), last, spec, keys[len(axes) :], between, end, lead
     starts = range(0, n, WRITE_BLOCK_ROWS)
     count = max(1, min(len(starts), _cpu_count())) if hasattr(os, "fork") else 1
     size, extra = divmod(len(starts), count)
@@ -321,10 +282,10 @@ def write_rows(path, fmt, columns, rows):
     try:
         # the workers fork before the temporary file opens, so they inherit none of its buffer
         for part, blocks in zip(parts, ranges[1:]):
-            workers.append(_fork_writer(part, fmt, columns, rows, blocks, csv_axes))
+            workers.append(_fork_writer(part, rows, blocks, layout))
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(head)
-            _write_blocks(fh, fmt, columns, rows, ranges[0], csv_axes)
+            _write_blocks(fh, rows, ranges[0], layout)
             fh.flush()
             for part in parts:
                 _join_writer(workers)
@@ -416,15 +377,16 @@ def build_config(args):
         if mp < ALPHA2_MIN:
             raise ConfigError(f"mean photon number {mp!r} below minimum {ALPHA2_MIN:g}")
 
-    if args.command == "zurek-surface":
-        theta_grid = np.linspace(-math.pi, math.pi, theta_steps)
-    else:
-        theta_grid = np.linspace(0.0, math.pi, theta_steps)
+    try:
+        a_grid = np.linspace(a_min, a_max, a_steps)
+        theta_grid = np.linspace(-math.pi if args.command == "zurek-surface" else 0.0, math.pi, theta_steps)
+    except MemoryError:
+        raise ConfigError(f"{a_steps} a values and {theta_steps} theta values do not fit in memory") from None
     if out is None:
         out = args.command.replace("-", "_") + "." + fmt
 
     return SweepConfig(
-        a_grid=np.linspace(a_min, a_max, a_steps),
+        a_grid=a_grid,
         theta_grid=theta_grid,
         mean_photon_list=tuple(sorted(float(v) for v in alpha2)),
         family=family,
@@ -436,18 +398,36 @@ def build_config(args):
 # ---------------------------------------------------------------------------
 # command drivers
 
+def _span(name, values):
+    """name = v for one value, name in [first, last] for several."""
+    if len(values) == 1:
+        return f"{name} = {_fmt(values[0])}"
+    return f"{name} in [{_fmt(values[0])}, {_fmt(values[-1])}]"
+
+
 def run_sweep(args):
+    """Write the sweep args.command asks for; return the exit code.
+
+    A numerical failure (NumericalIntegrityError or LinAlgError) in the
+    row generator exits 4 naming the (|alpha|^2, a) point of the failing
+    state, whose index counts the states of the mean photon numbers x a
+    grid, a fastest; an error with no index names the ranges (the point,
+    for a one-state grid).  A MemoryError while the rows are computed or
+    written, in this process or a writer worker, exits 2 naming the
+    grid's row count.
+    """
     try:
         cfg = build_config(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    generator = {
-        "zurek-surface": zurek_surface_rows,
-        "quasi-surface": quasi_surface_rows,
-        "werner-curves": werner_curves_rows,
-        "quasi-curves": quasi_curves_rows,
+    mean_photons, a_grid, theta_grid = cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid
+    generator, grid = {
+        "zurek-surface": (zurek_surface_rows, (a_grid, theta_grid)),
+        "quasi-surface": (quasi_surface_rows, (mean_photons, a_grid, theta_grid)),
+        "werner-curves": (werner_curves_rows, (a_grid,)),
+        "quasi-curves": (quasi_curves_rows, (mean_photons, a_grid)),
     }[args.command]
 
     if args.command == "quasi-surface" and cfg.family.maximally_entangled:
@@ -460,11 +440,20 @@ def run_sweep(args):
 
     try:
         columns, rows = generator(cfg)
-    except SweepPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
         write_rows(cfg.output_path, cfg.format, columns, rows)
+    except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
+        index = 0 if len(mean_photons) * len(a_grid) == 1 else getattr(exc, "index", None)
+        if index is None:
+            where = f"{_span('|alpha|^2', mean_photons)}, {_span('a', a_grid)}"
+        else:
+            m, k = divmod(index, len(a_grid))
+            where = f"|alpha|^2 = {_fmt(mean_photons[m])}, a = {_fmt(a_grid[k])}"
+        print(f"error: numerical failure at {where}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        size = math.prod(map(len, grid))
+        print(f"error: the {args.command} grid of {size} rows does not fit in memory", file=sys.stderr)
+        return 2
     except OSError as exc:
         # strerror alone: the error's file names include the temporary file
         print(f"error: cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)

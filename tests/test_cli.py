@@ -376,10 +376,10 @@ def fail_in_range(where, error):
     """A stand-in for cli._write_blocks that raises error(fh) in each range of block starts where(starts) holds."""
     real = cli._write_blocks
 
-    def write_blocks(fh, fmt, columns, rows, starts, csv_axes):
+    def write_blocks(fh, rows, starts, layout):
         if where(starts):
             raise error(fh)
-        real(fh, fmt, columns, rows, starts, csv_axes)
+        real(fh, rows, starts, layout)
 
     return write_blocks
 
@@ -424,7 +424,7 @@ def test_interrupt_stops_the_workers_and_keeps_existing_output(tmp_path, monkeyp
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
 
-    def write_blocks(fh, fmt, columns, rows, starts, csv_axes):
+    def write_blocks(fh, rows, starts, layout):
         if starts.start:
             time.sleep(60)  # the worker is still writing when this process is interrupted
         raise KeyboardInterrupt
@@ -466,6 +466,60 @@ def test_one_block_starts_no_worker(tmp_path, monkeypatch):
     n = cli.WRITE_BLOCK_ROWS
     write_rows(str(out), "csv", ["a", "b"], cli.Table([np.zeros(n)], [np.ones(n)]))
     assert out.read_text(encoding="utf-8") == "a,b\n" + "0,1\n" * n
+
+
+SMALL_SWEEPS = [
+    (["zurek-surface"], 3 * 5),
+    (["quasi-surface"], 2 * 3 * 5),
+    (["werner-curves"], 3),
+    (["quasi-curves"], 2 * 3),
+]
+
+
+@pytest.mark.parametrize("argv, size", SMALL_SWEEPS)
+def test_grid_out_of_memory_in_the_rows_exits_2(tmp_path, capsys, monkeypatch, argv, size):
+    # the row generator cannot allocate: the line names the grid's row count
+    def no_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, argv[0].replace("-", "_") + "_rows", no_memory)
+    out = tmp_path / "out.csv"
+    argv = [*argv, "--alpha2", "1", "--alpha2", "2", "--a-steps", "3", "--theta-steps", "5", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: the {argv[0]} grid of {size} rows does not fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_grid_out_of_memory_in_the_writer_exits_2(tmp_path, capsys, monkeypatch, fmt, cpus):
+    # the last of 15 one-row blocks cannot allocate, in this process (1 CPU)
+    # or in a worker (2), whose MemoryError comes back through its pipe
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_write_blocks", fail_in_range(lambda starts: 14 in starts, lambda fh: MemoryError()))
+    out = tmp_path / "z.out"
+    assert main(["zurek-surface", "--a-steps", "3", "--theta-steps", "5", "--format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the zurek-surface grid of 15 rows does not fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
+    assert_no_worker_left()
+
+
+def test_axis_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # an axis too long to allocate fails while the configuration is built
+    real = np.linspace
+
+    def linspace(start, stop, num):
+        if num > 10**9:
+            raise MemoryError
+        return real(start, stop, num)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    out = tmp_path / "w.csv"
+    assert main(["werner-curves", "--a-steps", str(10**12), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {10**12} a values and 181 theta values do not fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_replaces_existing_output(tmp_path):
@@ -551,6 +605,13 @@ def test_float_format_matches_percent_format(x):
     assert float.__format__(x, ".15g") == "%.15g" % x
 
 
+@settings(max_examples=500)
+@given(st.one_of(st.sampled_from(FLOAT_FORMAT_EDGES), st.floats(allow_nan=False, allow_infinity=False)))
+def test_json_float_format_matches_json(x):
+    # JSON formats floats with the empty spec, whose text is json's for a finite float
+    assert float.__format__(x, "") == json.dumps(x)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("axes, message", [
     ([[0.5, 1.0], [0.0, math.nan, 1.0]], "non-finite value in column t at row 1"),
@@ -634,14 +695,14 @@ def failing_eigvalsh(monkeypatch, marker):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
 
 
-def replace_last_state(monkeypatch, mean_photon, state):
-    """Put state in place of the last a of cli.werner_stack at mean_photon."""
+def replace_state(monkeypatch, mean_photon, state, k=-1):
+    """Put state in place of the state at a index k (the last by default) of cli.werner_stack at mean_photon."""
     real = cli.werner_stack
 
     def stack(family, a, p):
         rhos = real(family, a, p)
         if p.mean_photon == mean_photon:
-            rhos[-1] = state
+            rhos[k] = state
         return rhos
 
     monkeypatch.setattr(cli, "werner_stack", stack)
@@ -655,7 +716,7 @@ def test_linalg_failure_in_curves_exits_4(tmp_path, capsys, monkeypatch):
     # the eigensolver fails on the last state of the last mean photon number,
     # position 8 of the sweep's one stack: the message names its point
     marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    replace_last_state(monkeypatch, 5.0, marker)
+    replace_state(monkeypatch, 5.0, marker)
     failing_eigvalsh(monkeypatch, marker)
     out = tmp_path / "qc.csv"
     assert main([*CURVES_ARGV, "--out", str(out)]) == 4
@@ -668,7 +729,7 @@ def test_entropy_clamp_failure_in_curves_exits_4(tmp_path, capsys, monkeypatch):
     # the reduced X state of the last state of the last mean photon number has
     # the eigenvalue -1.8e-10: the stacked entropy's clamp fails at position 8
     eps = 0.9e-10
-    replace_last_state(monkeypatch, 5.0, np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex))
+    replace_state(monkeypatch, 5.0, np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex))
     out = tmp_path / "qc.csv"
     assert main([*CURVES_ARGV, "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -742,6 +803,50 @@ def test_entropy_clamp_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch)
     assert err.count("\n") == 1
     assert err.startswith("error: numerical failure at |alpha|^2 = 2, a = 0.5: state 2: eigenvalue -1.8")
     assert err.endswith(" below -1e-10\n")
+    assert not out.exists()
+
+
+def test_surface_makes_one_pipeline_call(tmp_path, monkeypatch):
+    # every (|alpha|^2, a) state of the sweep goes through one stacked call
+    calls = []
+    real = cli.discord_profile
+
+    def discord_profile(rhos, thetas):
+        calls.append(len(rhos))
+        return real(rhos, thetas)
+
+    monkeypatch.setattr(cli, "discord_profile", discord_profile)
+    out = tmp_path / "qs.csv"
+    argv = ["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "5", "--theta-steps", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [2 * 5]
+
+
+SURFACE_ARGV = ["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "5", "--theta-steps", "5"]
+
+
+def test_linalg_failure_in_a_surface_of_two_mean_photons_exits_4(tmp_path, capsys, monkeypatch):
+    # the eigensolver fails on the state at |alpha|^2 = 2, a = 0.5, position 7 of the sweep's one stack
+    marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    replace_state(monkeypatch, 2.0, marker, 2)
+    failing_eigvalsh(monkeypatch, marker)
+    out = tmp_path / "qs.csv"
+    assert main([*SURFACE_ARGV, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: numerical failure at |alpha|^2 = 2, a = 0.5: Eigenvalues did not converge\n"
+    assert not out.exists()
+
+
+def test_entropy_clamp_failure_in_a_surface_of_two_mean_photons_exits_4(tmp_path, capsys, monkeypatch):
+    # the reduced X state of the state at |alpha|^2 = 2, a = 0.5 has the
+    # eigenvalue -1.8e-10: the kernel's prefix is its position in the whole stack
+    eps = 0.9e-10
+    replace_state(monkeypatch, 2.0, np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex), 2)
+    out = tmp_path / "qs.csv"
+    assert main([*SURFACE_ARGV, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: numerical failure at |alpha|^2 = 2, a = 0.5: state 7: eigenvalue -1.8")
     assert not out.exists()
 
 
