@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstates import ALPHA2_MIN, StateFamily, cat_params
-from .discord import discord_min, discord_profile, discord_quasi_closed, werner_discord_closed, zurek_discord
+from .discord import discord_min, discord_profile_ranges, discord_quasi_closed, werner_discord_closed, zurek_discord
 from .entanglement import _closed_concurrence, eof
 from .qmatrix import NumericalIntegrityError
 from .verify import run_verification
@@ -67,22 +67,46 @@ class SweepConfig:
 # the rows as a Table
 
 class Table:
-    """A sweep's rows: the 1-D grid axes in column order, the last fastest, then one flat array per other column."""
+    """A sweep's rows: the 1-D grid axes in column order, the last fastest, then values(lo, hi).
+
+    values(lo, hi) gives one flat array per other column, for rows lo to
+    hi - 1.  The writer calls it in each process on the rows that process
+    writes (see write_rows), so a sweep's heavy columns are computed there.
+    """
 
     __slots__ = ("axes", "values")
 
     def __init__(self, axes, values):
         self.axes = [np.asarray(x) for x in axes]
-        self.values = [np.asarray(x) for x in values]
+        self.values = values
 
     def __len__(self):
         return math.prod(map(len, self.axes))
 
 
+def _sliced(*columns):
+    """A Table's values over whole columns: each column's rows lo to hi - 1."""
+    columns = [np.asarray(x) for x in columns]
+    return lambda lo, hi: [x[lo:hi] for x in columns]
+
+
+def _by_lines(width, columns):
+    """A Table's values from columns(first, last), the flat columns of whole lines first to last - 1 of width rows."""
+
+    def values(lo, hi):
+        first = lo // width
+        skip = lo - first * width
+        return [x[skip : skip + hi - lo] for x in columns(first, -(-hi // width))]
+
+    return values
+
+
 def zurek_surface_rows(cfg):
     columns = ["a", "theta", "D"]
-    d = zurek_discord(cfg.a_grid[:, None], cfg.theta_grid)
-    return columns, Table([cfg.a_grid, cfg.theta_grid], [d.ravel()])
+    a, thetas = cfg.a_grid, cfg.theta_grid
+    # a line is one a, so a range computes whole rows of zurek_discord
+    d = _by_lines(len(thetas), lambda first, last: [zurek_discord(a[first:last, None], thetas).ravel()])
+    return columns, Table([a, thetas], d)
 
 
 def _quasi_stack(cfg):
@@ -94,13 +118,24 @@ def _quasi_stack(cfg):
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
     params, rhos = _quasi_stack(cfg)
-    piped = discord_profile(rhos, cfg.theta_grid).ravel()
-    closed = np.concatenate([discord_quasi_closed(cfg.a_grid[:, None], p, cfg.theta_grid) for p in params])
-    # the theta grid starts at exactly 0, so its first column is the theta = 0 reference
-    flagged = (np.abs(closed - closed[:, :1]) > BASIS_FLAG_TOL).astype(np.int64)
-    closed = closed.ravel()
-    grid = [cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid]
-    return columns, Table(grid, [closed, piped, np.abs(closed - piped), flagged.ravel()])
+    a_grid, thetas, size = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid)
+    # every check and eigensolve of the stack runs here, before the writer forks
+    profile = discord_profile_ranges(rhos, thetas)
+
+    def states(first, last):
+        piped = profile(first, last).ravel()
+        # the closed form at the states' a values, per mean photon number they reach
+        closed = np.concatenate([
+            discord_quasi_closed(a_grid[max(first - m * size, 0) : last - m * size, None], params[m], thetas)
+            for m in range(first // size, -(-last // size))
+        ])
+        # the theta grid starts at exactly 0, so its first column is the theta = 0 reference
+        flagged = (np.abs(closed - closed[:, :1]) > BASIS_FLAG_TOL).astype(np.int64)
+        closed = closed.ravel()
+        return [closed, piped, np.abs(closed - piped), flagged.ravel()]
+
+    grid = [cfg.mean_photon_list, a_grid, thetas]
+    return columns, Table(grid, _by_lines(len(thetas), states))
 
 
 def werner_curves_rows(cfg):
@@ -109,7 +144,7 @@ def werner_curves_rows(cfg):
     # and carry no mean-photon dependence at all
     e = eof(_closed_concurrence(StateFamily.PSI_MINUS, cfg.a_grid, cat_params(1.0)))
     delta = werner_discord_closed(cfg.a_grid)
-    return columns, Table([cfg.a_grid], [e, delta, delta - e])
+    return columns, Table([cfg.a_grid], _sliced(e, delta, delta - e))
 
 
 def quasi_curves_rows(cfg):
@@ -118,7 +153,7 @@ def quasi_curves_rows(cfg):
     minima = discord_min(rhos)  # one lockstep minimization over the whole stack
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
     delta = np.array([res.value for res in minima])
-    return columns, Table([cfg.mean_photon_list, cfg.a_grid], [e, delta, delta - e])
+    return columns, Table([cfg.mean_photon_list, cfg.a_grid], _sliced(e, delta, delta - e))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +189,27 @@ def _cpu_count():
 
 
 def _write_blocks(fh, rows, starts, layout):
-    """Write the blocks of rows that begin at starts, a contiguous range of block starts, to fh.
+    """Compute the blocks of rows that begin at starts, a contiguous range of block starts, and write them to fh.
 
-    layout holds the text of each outer grid point (one prefix each) and of
-    each last-axis value, every axis cell with its key and trailing comma;
-    then the float format spec and the key of each other column; then the
-    text between rows, after a block's last row and before a block that is
-    not the file's first.
+    The range's values come from one rows.values call.  A non-finite value
+    raises ValueError naming the first column that holds one and its first
+    row there.  layout holds the text of each outer grid point (one prefix
+    each) and of each last-axis value, every axis cell with its key and
+    trailing comma; then the float format spec, and the name and the key
+    of each other column; then the text between rows, after a block's last
+    row and before a block that is not the file's first.
     """
-    prefixes, last, spec, keys, between, end, lead = layout
+    prefixes, last, spec, names, keys, between, end, lead = layout
     n, width = len(rows), len(last)
+    first_row = starts.start
+    values = rows.values(first_row, min(starts.stop, n))
+    for name, x in zip(names, values):
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise ValueError(f"non-finite value in column {name} at row {first_row + int(np.argmin(finite))}")
     for start in starts:
         stop = min(start + WRITE_BLOCK_ROWS, n)
-        texts = (_format_column(x[start:stop], spec, key) for x, key in zip(rows.values, keys))
+        texts = (_format_column(x[start - first_row : stop - first_row], spec, key) for x, key in zip(values, keys))
         tails = list(map(",".join, zip(*texts)))
         runs = []
         # the block's rows in runs, one per outer grid point it reaches
@@ -230,9 +273,7 @@ def _stop_writers(workers):
 def write_rows(path, fmt, columns, rows):
     """Write rows, a Table, to path atomically.
 
-    A non-finite value raises ValueError naming its column and first row
-    (for an axis entry, the first row that uses it) before anything is
-    written.  The rows go out in blocks of WRITE_BLOCK_ROWS, each axis value
+    The rows go out in blocks of WRITE_BLOCK_ROWS, each axis value
     formatted once per file and each other distinct value once per block.
     CSV and JSON share this layout and differ only in their text: JSON
     writes each float as float.__repr__ does, which is json's text for a
@@ -244,19 +285,30 @@ def write_rows(path, fmt, columns, rows):
     This process writes the header and the first range to a temporary file
     in the target directory.  Each other range goes to a forked worker,
     which writes it to a part file beside the temporary file; the parts are
-    appended in order, and the temporary file then replaces path.  The
-    bytes are the same for any W.  Forking is safe here: only this writer
-    forks, and a worker only formats and writes, calling no BLAS routine,
-    so it never needs numpy's BLAS thread, which a forked child lacks
-    (Python 3.12 and later warn about fork in a process with threads).  A
-    write that fails, here or in a worker, or an interrupt stops and reaps
-    every worker, leaves an existing file at path untouched and removes the
-    part files and the temporary file.
+    appended in order, and the temporary file then replaces path.  Each
+    process computes its range's rows (one rows.values call) and then
+    formats them.  The bytes are the same for any W.  Forking is safe
+    here: only this writer forks, and a worker only computes with numpy
+    ufuncs and math, formats and writes, calling no BLAS or LAPACK routine
+    (a sweep runs its checks and eigensolves before it hands over its
+    Table), so it never needs numpy's BLAS thread, which a forked child
+    lacks (Python 3.12 and later warn about fork in a process with
+    threads).
+
+    A non-finite axis entry raises ValueError naming its column and the
+    first row that uses it before anything is written.  A non-finite
+    computed value raises ValueError naming its column and row as soon as
+    its range is computed: within a range, the first column that holds
+    one, at its first row there.  The ranges are joined in order, so the
+    first range that holds one is the one reported, whichever process
+    computed it.  A write or computation that fails, here or in a worker,
+    or an interrupt stops and reaps every worker, leaves an existing file
+    at path untouched and removes the part files and the temporary file.
     """
     n, axes = len(rows), rows.axes
     if n:
-        strides = [math.prod(map(len, axes[i + 1 :])) for i in range(len(axes))] + [1] * len(rows.values)
-        for column, x, stride in zip(columns, axes + rows.values, strides):
+        strides = [math.prod(map(len, axes[i + 1 :])) for i in range(len(axes))]
+        for column, x, stride in zip(columns, axes, strides):
             finite = np.isfinite(x)
             if not finite.all():
                 raise ValueError(f"non-finite value in column {column} at row {int(np.argmin(finite)) * stride}")
@@ -268,7 +320,8 @@ def write_rows(path, fmt, columns, rows):
         head, foot, spec, keys = "[", "]\n", "", [json.dumps(column) + ":" for column in columns]
         keys[0], between, end, lead = "{" + keys[0], "},", "}", ","
     *outer, last = ([text + "," for text in _format_column(axis, spec, key)] for axis, key in zip(axes, keys))
-    layout = list(map("".join, itertools.product(*outer))), last, spec, keys[len(axes) :], between, end, lead
+    prefixes = list(map("".join, itertools.product(*outer)))
+    layout = prefixes, last, spec, columns[len(axes) :], keys[len(axes) :], between, end, lead
     starts = range(0, n, WRITE_BLOCK_ROWS)
     count = max(1, min(len(starts), _cpu_count())) if hasattr(os, "fork") else 1
     size, extra = divmod(len(starts), count)

@@ -13,7 +13,9 @@ discord_profile and discord_min take one 4x4 state or an (S, 4, 4) stack.
 A stack goes through one stacked path: it is validated at once (a failing
 state k is named "state k: " in the message), the entropies of its joint
 and reduced states come from one eigensolve each, and its values equal
-those of one call per state bit for bit.  discord_min minimizes a stack in
+those of one call per state bit for bit.  discord_profile_ranges splits a
+profile in two: the checks and eigensolves of the whole stack at once, then
+the measurement of any range of its states.  discord_min minimizes a stack in
 lockstep: each kernel call (phase probe, coarse scan, golden-section
 step, final evaluation) covers many states at once.  Every state starts
 from the same bracket width and stops at the same tolerance, so the
@@ -297,11 +299,27 @@ def discord_profile(rho, thetas, phi=0.0):
     bit for bit.  The stack is validated at once (a failing state k is
     named "state k: " in the message), its entropies come from one
     eigensolve per subsystem, and the kernel measures at most
-    MIN_SLICE_STATES states per call.
+    MIN_SLICE_STATES states per call.  It is discord_profile_ranges over
+    every state.
     """
-    rhos, stacked = _density_states(rho)
-    values = _sliced_discord(rhos, _discord_parts(rhos), np.reshape(thetas, -1), phi)
+    stacked = np.ndim(rho) == 3
+    values = discord_profile_ranges(rho, thetas, phi)(0, len(rho) if stacked else 1)
     return values if stacked else values[0]
+
+
+def discord_profile_ranges(rho, thetas, phi=0.0):
+    """discord_profile as a function of a range of states: values(lo, hi) is the profile of states lo to hi - 1.
+
+    rho is one 4x4 state or an (S, 4, 4) stack.  This call validates the
+    whole stack and runs its eigensolves, so every error a check or an
+    entropy can raise comes from here, naming the state's position in the
+    whole stack.  values only measures: it calls numpy ufuncs and
+    math.log2, no BLAS or LAPACK routine, and each state's values are the
+    same bits in any range.
+    """
+    rhos, _ = _density_states(rho)
+    parts, thetas = _discord_parts(rhos), np.reshape(thetas, -1)
+    return lambda lo, hi: _sliced_discord(rhos[lo:hi], tuple(v[lo:hi] for v in parts), thetas, phi)
 
 
 def _slices(n):

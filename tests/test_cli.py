@@ -343,7 +343,7 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     # second block of rows, or when the finished file would replace the old one
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
-    table = cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]])
+    table = cli.Table([[0.0, 0.5, 1.0]], cli._sliced([1.0, 2.0, 3.0]))
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     # one range of blocks, all written by this process (the cases with a worker follow)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
@@ -409,7 +409,7 @@ def test_failed_write_with_a_worker_keeps_existing_output(tmp_path, monkeypatch,
         monkeypatch.setattr(cli.shutil, "copyfileobj", fail)
         message = "^disk full$"
     with pytest.raises(OSError, match=message) as raised:
-        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]]))
+        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.0, 0.5, 1.0]], cli._sliced([1.0, 2.0, 3.0])))
     if where == "worker":
         assert int(str(raised.value).split()[-1]) != os.getpid()
     assert out.read_text(encoding="utf-8") == "old contents\n"
@@ -432,7 +432,7 @@ def test_interrupt_stops_the_workers_and_keeps_existing_output(tmp_path, monkeyp
     monkeypatch.setattr(cli, "_write_blocks", write_blocks)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0]]))
+        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.0, 0.5, 1.0]], cli._sliced([1.0, 2.0, 3.0])))
     assert time.monotonic() - t0 < 30  # the sleeping worker was stopped, not waited for
     assert out.read_text(encoding="utf-8") == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
@@ -464,7 +464,7 @@ def test_one_block_starts_no_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "fork", no_fork)
     out = tmp_path / "out.csv"
     n = cli.WRITE_BLOCK_ROWS
-    write_rows(str(out), "csv", ["a", "b"], cli.Table([np.zeros(n)], [np.ones(n)]))
+    write_rows(str(out), "csv", ["a", "b"], cli.Table([np.zeros(n)], cli._sliced(np.ones(n))))
     assert out.read_text(encoding="utf-8") == "a,b\n" + "0,1\n" * n
 
 
@@ -525,7 +525,7 @@ def test_axis_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 def test_write_replaces_existing_output(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
-    write_rows(str(out), "csv", ["a", "b"], cli.Table([[0.5]], [[1]]))
+    write_rows(str(out), "csv", ["a", "b"], cli.Table([[0.5]], cli._sliced([1])))
     assert out.read_text(encoding="utf-8") == "a,b\n0.5,1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -546,7 +546,7 @@ def test_writer_matches_per_value_formatting(rows, block_rows, cpus):
         "csv": "a,b,flag\n" + "".join(f"{'%.15g' % a},{'%.15g' % b},{flag}\n" for a, b, flag in rows),
         "json": json.dumps([dict(zip(columns, row)) for row in rows], separators=(",", ":")) + "\n",
     }
-    table = cli.Table([[row[0] for row in rows]], ([row[i] for row in rows] for i in (1, 2)))
+    table = cli.Table([[row[0] for row in rows]], cli._sliced(*([row[i] for row in rows] for i in (1, 2))))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
         mp.setattr(cli, "_cpu_count", lambda: cpus)
@@ -580,7 +580,7 @@ def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, cp
         "csv": ",".join(columns) + "\n" + "".join(",".join(map(cell_text, row)) + "\n" for row in rows),
         "json": json.dumps([dict(zip(columns, row)) for row in rows], separators=(",", ":")) + "\n",
     }
-    table = cli.Table(axes, values)
+    table = cli.Table(axes, cli._sliced(*values))
     assert len(table) == n
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
@@ -620,7 +620,7 @@ def test_json_float_format_matches_json(x):
 ])
 def test_write_rejects_non_finite_axis_entry_at_its_first_row(tmp_path, fmt, axes, message):
     out = tmp_path / "out.csv"
-    table = cli.Table(axes, [np.zeros(6)])
+    table = cli.Table(axes, cli._sliced(np.zeros(6)))
     with pytest.raises(ValueError, match=f"^{message}$"):
         write_rows(str(out), fmt, ["a", "t", "v"], table)
     assert not out.exists()
@@ -632,7 +632,7 @@ def test_write_rejects_non_finite_value(tmp_path, fmt, bad):
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-finite value in column b at row 1"):
-        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.5, 0.5]], [[1.0, bad]]))
+        write_rows(str(out), fmt, ["a", "b"], cli.Table([[0.5, 0.5]], cli._sliced([1.0, bad])))
     assert out.read_text(encoding="utf-8") == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -643,7 +643,7 @@ def test_non_finite_output_exits_4(tmp_path, capsys, monkeypatch, fmt):
 
     def rows_with_nan(cfg):
         columns, rows = real(cfg)
-        rows.values[1][2] = math.nan
+        rows.values(0, len(rows))[1][2] = math.nan  # a slice of the whole column
         return columns, rows
 
     monkeypatch.setattr(cli, "werner_curves_rows", rows_with_nan)
@@ -809,13 +809,13 @@ def test_entropy_clamp_failure_in_surface_exits_4(tmp_path, capsys, monkeypatch)
 def test_surface_makes_one_pipeline_call(tmp_path, monkeypatch):
     # every (|alpha|^2, a) state of the sweep goes through one stacked call
     calls = []
-    real = cli.discord_profile
+    real = cli.discord_profile_ranges
 
-    def discord_profile(rhos, thetas):
+    def discord_profile_ranges(rhos, thetas):
         calls.append(len(rhos))
         return real(rhos, thetas)
 
-    monkeypatch.setattr(cli, "discord_profile", discord_profile)
+    monkeypatch.setattr(cli, "discord_profile_ranges", discord_profile_ranges)
     out = tmp_path / "qs.csv"
     argv = ["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "5", "--theta-steps", "5", "--out", str(out)]
     assert main(argv) == 0
@@ -825,29 +825,97 @@ def test_surface_makes_one_pipeline_call(tmp_path, monkeypatch):
 SURFACE_ARGV = ["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "5", "--theta-steps", "5"]
 
 
+def in_a_workers_range(monkeypatch):
+    """Blocks of 7 rows on 2 CPUs: of SURFACE_ARGV's 50 rows, this process writes 0-27 and a worker 28-49.
+
+    The state at |alpha|^2 = 2, a = 0.5 (position 7 of the sweep's one stack)
+    has rows 35-39, in the worker's range.  The stack's checks and
+    eigensolves run before the writer forks, so a failure there gives the
+    line that one process prints.
+    """
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+
+
+def assert_no_file_or_worker_left(directory):
+    assert list(directory.iterdir()) == []
+    assert_no_worker_left()
+
+
 def test_linalg_failure_in_a_surface_of_two_mean_photons_exits_4(tmp_path, capsys, monkeypatch):
     # the eigensolver fails on the state at |alpha|^2 = 2, a = 0.5, position 7 of the sweep's one stack
+    in_a_workers_range(monkeypatch)
     marker = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     replace_state(monkeypatch, 2.0, marker, 2)
     failing_eigvalsh(monkeypatch, marker)
-    out = tmp_path / "qs.csv"
-    assert main([*SURFACE_ARGV, "--out", str(out)]) == 4
+    assert main([*SURFACE_ARGV, "--out", str(tmp_path / "qs.csv")]) == 4
     err = capsys.readouterr().err
     assert err == "error: numerical failure at |alpha|^2 = 2, a = 0.5: Eigenvalues did not converge\n"
-    assert not out.exists()
+    assert_no_file_or_worker_left(tmp_path)
 
 
 def test_entropy_clamp_failure_in_a_surface_of_two_mean_photons_exits_4(tmp_path, capsys, monkeypatch):
     # the reduced X state of the state at |alpha|^2 = 2, a = 0.5 has the
     # eigenvalue -1.8e-10: the kernel's prefix is its position in the whole stack
+    in_a_workers_range(monkeypatch)
     eps = 0.9e-10
     replace_state(monkeypatch, 2.0, np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex), 2)
-    out = tmp_path / "qs.csv"
-    assert main([*SURFACE_ARGV, "--out", str(out)]) == 4
+    assert main([*SURFACE_ARGV, "--out", str(tmp_path / "qs.csv")]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: numerical failure at |alpha|^2 = 2, a = 0.5: state 7: eigenvalue -1.8")
-    assert not out.exists()
+    assert err.endswith(" below -1e-10\n")
+    assert_no_file_or_worker_left(tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad, message", [
+    # only the worker's range (rows 1-2) holds a non-finite value
+    ({("b", 2)}, "non-finite value in column b at row 2"),
+    # both ranges hold one: this process's range (row 0) is joined first, so
+    # its column c is named, though column b comes first in the file's order
+    ({("b", 2), ("c", 0)}, "non-finite value in column c at row 0"),
+])
+def test_non_finite_value_in_a_workers_range(tmp_path, monkeypatch, fmt, bad, message):
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    columns = {"b": [1.0, 2.0, 3.0], "c": [4.0, 5.0, 6.0]}
+    for column, row in bad:
+        columns[column][row] = math.nan
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_rows(str(out), fmt, ["a", "b", "c"], cli.Table([[0.0, 0.5, 1.0]], cli._sliced(*columns.values())))
+    assert_no_file_or_worker_left(tmp_path)
+
+
+SPLIT_SURFACES = [
+    # 2 x 5 states of 7 thetas in blocks of 4 rows: the ranges of 2 and 3 CPUs
+    # begin at rows 36, and 24 and 48, inside a state's theta row; [24, 48)
+    # reaches from the first mean photon number into the second
+    (["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "5", "--theta-steps", "7"], 4),
+    # 5 rows of 7 thetas in blocks of 3 rows: ranges begin at rows 18, and 12 and 24
+    (["zurek-surface", "--a-steps", "5", "--theta-steps", "7"], 3),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, block_rows", SPLIT_SURFACES)
+def test_surface_ranges_cut_inside_a_theta_row_write_the_same_bytes(tmp_path, monkeypatch, fmt, argv, block_rows):
+    # each process computes the rows of its own range; the reference is the
+    # same command on one CPU, which computes every row in this process
+    def written(cpus):
+        out = tmp_path / f"{cpus}.{fmt}"
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_cpu_count", lambda: cpus)
+            if cpus > 1:
+                mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    reference = written(1)
+    for cpus in (2, 3):
+        assert written(cpus) == reference
+    assert_no_worker_left()
 
 
 def test_verify_passes(capsys):

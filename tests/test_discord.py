@@ -19,6 +19,7 @@ from ecswerner.discord import (
     discord_at,
     discord_min,
     discord_profile,
+    discord_profile_ranges,
     discord_quasi_closed,
     mutual_information,
     quasi_probabilities,
@@ -263,6 +264,20 @@ def test_stacked_profile_matches_per_state(states, thetas, phi):
     assert stacked.tolist() == [discord_profile(rho, thetas, phi).tolist() for rho in states]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(measured_states(), min_size=1, max_size=40), st.lists(angles, max_size=20), angles, st.data())
+def test_profile_ranges_match_the_whole_profile(states, thetas, phi, data):
+    # any range of states gets exactly its rows of the whole profile, and
+    # measures without an eigensolve: every one ran when the ranges were made
+    stack = np.array(states, dtype=complex)
+    values = discord_profile_ranges(stack, thetas, phi)
+    lo = data.draw(st.integers(0, len(states)))
+    hi = data.draw(st.integers(lo, len(states)))
+    with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigensolve in a range")):
+        part = values(lo, hi)
+    assert part.tolist() == discord_profile(stack, thetas, phi)[lo:hi].tolist()
+
+
 def test_stacked_profile_crosses_slices():
     states = [quasi(float(a), 0.3) for a in np.linspace(0.0, 1.0, 2 * MIN_SLICE_STATES + 3)]
     stacked = discord_profile(np.array(states), THETA_GRID)
@@ -411,6 +426,7 @@ def test_invalid_stack_names_state(states, kind, data):
     for call in (
         lambda stack: require_density_stack(stack, dim=4),
         lambda stack: discord_profile(stack, THETA_GRID),
+        lambda stack: discord_profile_ranges(stack, THETA_GRID),
         discord_min,
     ):
         with pytest.raises(ValueError) as stacked:
