@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstates import ALPHA2_MIN, StateFamily, cat_params
-from .discord import discord_min, discord_profile_ranges, discord_quasi_closed, werner_discord_closed, zurek_discord
+from .discord import (
+    discord_min_ranges,
+    discord_profile_ranges,
+    discord_quasi_closed,
+    werner_discord_closed,
+    zurek_discord,
+)
 from .entanglement import _closed_concurrence, eof
 from .qmatrix import NumericalIntegrityError
 from .verify import run_verification
@@ -150,10 +156,16 @@ def werner_curves_rows(cfg):
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
     params, rhos = _quasi_stack(cfg)
-    minima = discord_min(rhos)  # one lockstep minimization over the whole stack
+    # every check, eigensolve and phase probe of the stack runs here, before
+    # the writer forks; each range of rows is one lockstep minimization
+    minimize = discord_min_ranges(rhos)
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
-    delta = np.array([res.value for res in minima])
-    return columns, Table([cfg.mean_photon_list, cfg.a_grid], _sliced(e, delta, delta - e))
+
+    def values(lo, hi):
+        delta = np.array([res.value for res in minimize(lo, hi)])
+        return [e[lo:hi], delta, delta - e[lo:hi]]
+
+    return columns, Table([cfg.mean_photon_list, cfg.a_grid], values)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +173,12 @@ def quasi_curves_rows(cfg):
 
 # rows formatted and written per block, which bounds the text held at once
 WRITE_BLOCK_ROWS = 4096
+# the fewest rows the writer gives a process of its own, so a table of fewer
+# than 2 * MIN_RANGE_ROWS rows is written without a fork.  A worker costs a
+# few ms (the fork, copy-on-write faults, its exit): on a 2-core x86-64 host,
+# quasi-curves of 8 x 64 rows took 56 ms in one process and 43 ms in two,
+# and of 8 x 50 rows 52 and 68 ms
+MIN_RANGE_ROWS = 256
 
 
 # a CSV float's text is "%.15g" % x; float.__format__ runs the same routine with less work per value
@@ -189,7 +207,7 @@ def _cpu_count():
 
 
 def _write_blocks(fh, rows, starts, layout):
-    """Compute the blocks of rows that begin at starts, a contiguous range of block starts, and write them to fh.
+    """Compute the rows starts.start to starts.stop - 1 and write them to fh in blocks of starts.step rows.
 
     The range's values come from one rows.values call.  A non-finite value
     raises ValueError naming the first column that holds one and its first
@@ -200,15 +218,14 @@ def _write_blocks(fh, rows, starts, layout):
     row and before a block that is not the file's first.
     """
     prefixes, last, spec, names, keys, between, end, lead = layout
-    n, width = len(rows), len(last)
-    first_row = starts.start
-    values = rows.values(first_row, min(starts.stop, n))
+    width, first_row = len(last), starts.start
+    values = rows.values(first_row, starts.stop)
     for name, x in zip(names, values):
         finite = np.isfinite(x)
         if not finite.all():
             raise ValueError(f"non-finite value in column {name} at row {first_row + int(np.argmin(finite))}")
     for start in starts:
-        stop = min(start + WRITE_BLOCK_ROWS, n)
+        stop = min(start + starts.step, starts.stop)
         texts = (_format_column(x[start - first_row : stop - first_row], spec, key) for x, key in zip(values, keys))
         tails = list(map(",".join, zip(*texts)))
         runs = []
@@ -279,21 +296,25 @@ def write_rows(path, fmt, columns, rows):
     writes each float as float.__repr__ does, which is json's text for a
     finite float, and each cell after its column's key.
 
-    The blocks are cut into W contiguous ranges, W the smaller of the block
-    count and the number of CPUs this process may run on (1 where os.fork
-    does not exist); no flag, config key or environment variable sets it.
-    This process writes the header and the first range to a temporary file
-    in the target directory.  Each other range goes to a forked worker,
-    which writes it to a part file beside the temporary file; the parts are
-    appended in order, and the temporary file then replaces path.  Each
-    process computes its range's rows (one rows.values call) and then
-    formats them.  The bytes are the same for any W.  Forking is safe
-    here: only this writer forks, and a worker only computes with numpy
-    ufuncs and math, formats and writes, calling no BLAS or LAPACK routine
-    (a sweep runs its checks and eigensolves before it hands over its
-    Table), so it never needs numpy's BLAS thread, which a forked child
-    lacks (Python 3.12 and later warn about fork in a process with
-    threads).
+    The rows are cut into W contiguous ranges, W the number of CPUs this
+    process may run on but at most n // MIN_RANGE_ROWS and at least 1 (1
+    where os.fork does not exist); no flag, config key or environment
+    variable sets it.  Each range is written in blocks of at most
+    WRITE_BLOCK_ROWS from its first row.  This process writes the header
+    and the first range to a temporary file in the target directory.  Each
+    other range goes to a forked worker, which writes it to a part file
+    beside the temporary file; the parts are appended in order, and the
+    temporary file then replaces path.  Each process computes its range's
+    rows (one rows.values call) and then formats them.  The bytes are the
+    same for any W and wherever the cuts fall.  Forking is safe here: only
+    this writer forks, and a worker only computes with numpy ufuncs and
+    math, formats and writes, calling no BLAS or LAPACK routine, so it
+    never needs numpy's BLAS thread, which a forked child lacks (Python
+    3.12 and later warn about fork in a process with threads).  A sweep
+    runs its checks and eigensolves before it hands over its Table: the
+    surfaces' range functions then only measure (discord_profile_ranges)
+    or evaluate closed forms, and quasi-curves' only minimize
+    (discord_min_ranges: coarse scan, golden section, final evaluation).
 
     A non-finite axis entry raises ValueError naming its column and the
     first row that uses it before anything is written.  A non-finite
@@ -322,12 +343,11 @@ def write_rows(path, fmt, columns, rows):
     *outer, last = ([text + "," for text in _format_column(axis, spec, key)] for axis, key in zip(axes, keys))
     prefixes = list(map("".join, itertools.product(*outer)))
     layout = prefixes, last, spec, columns[len(axes) :], keys[len(axes) :], between, end, lead
-    starts = range(0, n, WRITE_BLOCK_ROWS)
-    count = max(1, min(len(starts), _cpu_count())) if hasattr(os, "fork") else 1
-    size, extra = divmod(len(starts), count)
-    # the last ranges take the extra blocks: the first one's process also appends the parts
+    count = max(1, min(_cpu_count(), n // MIN_RANGE_ROWS)) if hasattr(os, "fork") else 1
+    size, extra = divmod(n, count)
+    # the last ranges take the extra rows: the first one's process also appends the parts
     cuts = [k * size + max(0, k + extra - count) for k in range(count + 1)]
-    ranges = [starts[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    ranges = [range(lo, hi, WRITE_BLOCK_ROWS) for lo, hi in zip(cuts, cuts[1:])]
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     parts = [f"{tmp}.{k}" for k in range(1, count)]

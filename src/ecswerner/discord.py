@@ -15,13 +15,16 @@ state k is named "state k: " in the message), the entropies of its joint
 and reduced states come from one eigensolve each, and its values equal
 those of one call per state bit for bit.  discord_profile_ranges splits a
 profile in two: the checks and eigensolves of the whole stack at once, then
-the measurement of any range of its states.  discord_min minimizes a stack in
-lockstep: each kernel call (phase probe, coarse scan, golden-section
-step, final evaluation) covers many states at once.  Every state starts
-from the same bracket width and stops at the same tolerance, so the
-number of golden-section steps does not grow with the stack: the
-quasi-curves sweep minimizes all of its (|alpha|^2, a) states in one
-call.  The many-angle calls, a profile and discord_min's probe and scan,
+the measurement of any range of its states.  discord_min_ranges splits a
+minimization the same way: the checks, eigensolves and phase probe of the
+whole stack, then the coarse scan, golden section and final evaluation of
+any range of its states; discord_min is it over every state.  discord_min
+minimizes a stack in lockstep: each kernel call (phase probe, coarse scan,
+golden-section step, final evaluation) covers many states at once.
+Every state starts from the same bracket width and stops at the same
+tolerance, so the number of golden-section steps does not grow with the
+stack: the quasi-curves sweep minimizes all of its (|alpha|^2, a) states
+in one call, split only into the writer's ranges.  The many-angle calls, a profile and discord_min's probe and scan,
 take at most MIN_SLICE_STATES states each, which caps the kernel's
 temporaries.
 
@@ -39,7 +42,11 @@ this library builds; its blocks then have the same bits as the complex
 einsum it otherwise runs (a phase probe, phi != 0, or a complex state).
 The real contraction builds each block entry on its own, from one entry
 of rho per state times contiguous arrays of projector components, with
-the einsum's products and sum order.
+the einsum's products and sum order.  A term whose entry of rho is 0 in
+every state of the stack is the constant 0.0 in its place in that sum, so
+an X state forms 6 products, not 16; unless an entry is -0 (then every
+term is formed), this keeps every bit, signed zeros included.  The
+minimizer finds those entries once per range of states, not per call.
 """
 
 import math
@@ -152,7 +159,13 @@ def _squared(fn, x):
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
-def _real_blocks(rhos, vecs):
+def _zero_terms(rhos):
+    """The entries (a, b, c, d) of rho that are 0 in every state of the stack, a mask for _real_blocks; none if an entry is -0."""
+    r = rhos.real.reshape(-1, 2, 2, 2, 2)
+    return ~r.any(axis=0) & ~(np.signbit(r) & (r == 0)).any()
+
+
+def _real_blocks(rhos, vecs, zero):
     """The conditional X blocks of real states measured with real projectors.
 
     The real part of the complex einsum in _spectra, computed in einsum's
@@ -160,17 +173,33 @@ def _real_blocks(rhos, vecs):
     terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).  Each block entry
     (a, c) is built on its own from contiguous (S|1, n, 2) components v_b,
     one scalar of rho per state and term.
+
+    A term whose entry of rho is 0 in every state is the constant 0.0 in
+    its place in the sum, so a stack of X states with one coherence pair
+    (6 nonzero entries of 16) forms 6 products.  zero marks those entries:
+    _zero_terms of rhos, or of any stack that holds every state of rhos (an
+    entry 0 in every state of a stack is 0 in every part of it).  At finite
+    angles this keeps every bit of each sum, the sign of a zero included,
+    as long as no entry is -0: putting +0 for a zero term changes a sum
+    only where the sum is -0, which needs all four terms to be -0, and of
+    the two terms b = d the one whose |v_b| is the larger (at least
+    1/sqrt(2)) is -0 only if its entry is.  With a -0 entry, _zero_terms
+    marks nothing and every term is formed.
     """
     r = rhos.real.reshape(-1, 2, 2, 2, 2)
     v = [np.ascontiguousarray(vecs.real[..., b]) for b in (0, 1)]
     blocks = np.empty(np.broadcast_shapes((len(r), 1, 1), v[0].shape) + (2, 2))
     for a, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        t = [(r[:, a, b, c, d, None, None] * v[b]) * v[d] for b in (0, 1) for d in (0, 1)]
+        t = [
+            0.0 if zero[a, b, c, d] else (r[:, a, b, c, d, None, None] * v[b]) * v[d]
+            for b in (0, 1)
+            for d in (0, 1)
+        ]
         blocks[..., a, c] = (t[0] + t[1]) + (t[2] + t[3])
     return blocks
 
 
-def _spectra(rhos, thetas, phis):
+def _spectra(rhos, thetas, phis, zero=None):
     """Measure Y on a stack of validated states at arrays of angles.
 
     rhos has shape (S, 4, 4); thetas and phis broadcast together to shape
@@ -187,12 +216,12 @@ def _spectra(rhos, thetas, phis):
     library builds, at every angle of a sweep or of the minimizer), the
     projectors are real and the blocks come from _real_blocks as real
     arrays, with the same bits as the real part of the complex einsum,
-    whose imaginary part is then zero.  Any other input goes through the
-    complex einsum.
+    whose imaginary part is then zero; zero is its zero-term mask, made
+    here when not given.  Any other input goes through the complex einsum.
     """
     vecs = _projectors(np.atleast_2d(thetas), phis)
     if not np.any(phis) and not rhos.imag.any():
-        blocks = _real_blocks(rhos, vecs)
+        blocks = _real_blocks(rhos, vecs, _zero_terms(rhos) if zero is None else zero)
     else:
         blocks = np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
     m00, m11 = blocks[..., 0, 0].real, blocks[..., 1, 1].real
@@ -216,7 +245,9 @@ def _entropy_sum(spectra, xlogx):
     P_j below DEGENERATE_PROB contributes nothing.
     """
     probs, live, e0, e1 = spectra
-    terms = np.where(live, probs * -(xlogx(e0) + xlogx(e1)), 0.0)
+    # one xlogx call for both eigenvalues (it is elementwise): half the fixed cost
+    x = xlogx(np.stack([e0, e1]))
+    terms = np.where(live, probs * -(x[0] + x[1]), 0.0)
     # leading 0.0 keeps a zero entropy from coming out as -0.0
     return 0.0 + terms[..., 0] + terms[..., 1]
 
@@ -226,9 +257,9 @@ def _xlogx_estimate(p):
     return np.where(p < XLOGX_FLOOR, 0.0, p * np.log2(np.maximum(p, XLOGX_FLOOR)))
 
 
-def _measure(rhos, thetas, phis):
+def _measure(rhos, thetas, phis, zero=None):
     """The blocks of _spectra, the outcome probabilities P_j, shape (S, n, 2), and the conditional entropies, (S, n)."""
-    blocks, spectra = _spectra(rhos, thetas, phis)
+    blocks, spectra = _spectra(rhos, thetas, phis, zero)
     return blocks, spectra[0], _entropy_sum(spectra, _xlogx)
 
 
@@ -398,7 +429,24 @@ def discord_min(rho):
     stack is minimized in lockstep: each golden-section step and the final
     evaluation is one kernel call for all its states, and the phase probe
     and the coarse scan, whose temporaries grow with states x angles, are
-    one call per slice of at most MIN_SLICE_STATES states.
+    one call per slice of at most MIN_SLICE_STATES states.  It is
+    discord_min_ranges over every state.
+    """
+    stacked = np.ndim(rho) == 3
+    results = discord_min_ranges(rho)(0, len(rho) if stacked else 1)
+    return results if stacked else results[0]
+
+
+def discord_min_ranges(rho):
+    """discord_min as a function of a range of states: minimize(lo, hi) is the list of results of states lo to hi - 1.
+
+    rho is one 4x4 state or an (S, 4, 4) stack.  This call validates the
+    whole stack, runs its eigensolves and the phase probe, so every error a
+    check, an entropy or the probe can raise comes from here, naming the
+    state's position in the whole stack.  minimize runs the coarse scan,
+    the golden section and the final evaluation of its states in lockstep:
+    numpy ufuncs and math.log2, no BLAS or LAPACK routine, and each state's
+    result is the same in any range.
     """
     rhos, stacked = _density_states(rho)
     parts = _discord_parts(rhos)
@@ -423,7 +471,15 @@ def discord_min(rho):
         )
 
     grid = np.linspace(0.0, math.pi, THETA_COARSE_STEPS)
+    return lambda lo, hi: _minimize(rhos[lo:hi], tuple(v[lo:hi] for v in parts), grid)
+
+
+def _minimize(rhos, parts, grid):
+    """The DiscordResult of each state at its theta minimum: the coarse scan on grid, the golden section, the final evaluation."""
     k, k_value = _coarse_minimum(rhos, parts, grid)
+    # one zero-term mask for the golden section and the final evaluation,
+    # whose kernel calls each measure all of rhos or a part of it
+    zero = _zero_terms(rhos)
 
     # golden-section search on [grid[k-1], grid[k+1]], one kernel call per
     # step for every state whose bracket is still wider than the tolerance
@@ -431,7 +487,7 @@ def discord_min(rho):
     b = grid[np.minimum(k + 1, len(grid) - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = _discord(parts, _measure(rhos, np.stack([c, d], axis=1), 0.0)[2]).T
+    fc, fd = _discord(parts, _measure(rhos, np.stack([c, d], axis=1), 0.0, zero)[2]).T
     live = np.flatnonzero(b - a > THETA_REFINE_TOL)
     while live.size:
         left = fc[live] < fd[live]
@@ -439,7 +495,7 @@ def discord_min(rho):
         na, nb = np.where(left, la, lc), np.where(left, ld, lb)
         nc = np.where(left, nb - _INVPHI * (nb - na), ld)
         nd = np.where(left, lc, na + _INVPHI * (nb - na))
-        cond = _measure(rhos[live], np.where(left, nc, nd)[:, None], 0.0)[2]
+        cond = _measure(rhos[live], np.where(left, nc, nd)[:, None], 0.0, zero)[2]
         f = _discord(tuple(v[live] for v in parts), cond)[:, 0]
         a[live], b[live], c[live], d[live] = na, nb, nc, nd
         fc[live], fd[live] = np.where(left, f, fd[live]), np.where(left, fc[live], f)
@@ -447,13 +503,12 @@ def discord_min(rho):
 
     # the refined midpoint unless the grid point is strictly better
     final = np.stack([(a + b) / 2.0, grid[k]], axis=1)
-    _, probs, cond = _measure(rhos, final, 0.0)
+    _, probs, cond = _measure(rhos, final, 0.0, zero)
     pick = (k_value < _discord(parts, cond)[:, 0]).astype(int)
-    results = [
+    return [
         _result(parts, i, float(final[i, j]), probs[i, j].tolist(), float(cond[i, j]))
         for i, j in enumerate(pick)
     ]
-    return results if stacked else results[0]
 
 
 def zurek_density(a):

@@ -373,7 +373,7 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
 
 
 def fail_in_range(where, error):
-    """A stand-in for cli._write_blocks that raises error(fh) in each range of block starts where(starts) holds."""
+    """A stand-in for cli._write_blocks that raises error(fh) in each range of rows, starts, where(starts) holds."""
     real = cli._write_blocks
 
     def write_blocks(fh, rows, starts, layout):
@@ -392,10 +392,11 @@ def assert_no_worker_left():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("where", ["worker", "append"])
 def test_failed_write_with_a_worker_keeps_existing_output(tmp_path, monkeypatch, fmt, where):
-    # two ranges of blocks: this process writes row 0, a forked worker rows 1-2
+    # two ranges of rows: this process writes row 0, a forked worker rows 1-2
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     if where == "worker":
         # the message names the process that raised it
@@ -422,6 +423,7 @@ def test_interrupt_stops_the_workers_and_keeps_existing_output(tmp_path, monkeyp
     out = tmp_path / "out.csv"
     out.write_text("old contents\n", encoding="utf-8")
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
 
     def write_blocks(fh, rows, starts, layout):
@@ -444,6 +446,7 @@ def test_failure_in_the_last_range_exits_3_with_the_same_line(tmp_path, capsys, 
     # the last of 15 one-row blocks fails, in this process (1 CPU) or in a worker (2)
     out = tmp_path / "z.csv"
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
 
     def no_space(fh):
@@ -456,14 +459,15 @@ def test_failure_in_the_last_range_exits_3_with_the_same_line(tmp_path, capsys, 
     assert_no_worker_left()
 
 
-def test_one_block_starts_no_worker(tmp_path, monkeypatch):
+def test_table_below_the_range_threshold_starts_no_worker(tmp_path, monkeypatch):
+    # fewer than 2 * MIN_RANGE_ROWS rows make one range, written by this process
     def no_fork():
-        raise AssertionError("a writer forked for a one-block file")
+        raise AssertionError("a writer forked for a table of one range")
 
     monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
     monkeypatch.setattr(cli.os, "fork", no_fork)
     out = tmp_path / "out.csv"
-    n = cli.WRITE_BLOCK_ROWS
+    n = 2 * cli.MIN_RANGE_ROWS - 1
     write_rows(str(out), "csv", ["a", "b"], cli.Table([np.zeros(n)], cli._sliced(np.ones(n))))
     assert out.read_text(encoding="utf-8") == "a,b\n" + "0,1\n" * n
 
@@ -497,6 +501,7 @@ def test_grid_out_of_memory_in_the_writer_exits_2(tmp_path, capsys, monkeypatch,
     # the last of 15 one-row blocks cannot allocate, in this process (1 CPU)
     # or in a worker (2), whose MemoryError comes back through its pipe
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "_write_blocks", fail_in_range(lambda starts: 14 in starts, lambda fh: MemoryError()))
     out = tmp_path / "z.out"
@@ -540,7 +545,7 @@ column_values = st.one_of(
 @given(st.lists(st.tuples(column_values, column_values, st.integers(0, 1)), max_size=30), st.integers(1, 7), st.integers(1, 3))
 def test_writer_matches_per_value_formatting(rows, block_rows, cpus):
     # blocks of a few rows, so that a file spans several of them, written by
-    # up to three processes
+    # up to three processes, whose ranges of rows may begin inside a block
     columns = ["a", "b", "flag"]
     expected = {
         "csv": "a,b,flag\n" + "".join(f"{'%.15g' % a},{'%.15g' % b},{flag}\n" for a, b, flag in rows),
@@ -549,6 +554,7 @@ def test_writer_matches_per_value_formatting(rows, block_rows, cpus):
     table = cli.Table([[row[0] for row in rows]], cli._sliced(*([row[i] for row in rows] for i in (1, 2))))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        mp.setattr(cli, "MIN_RANGE_ROWS", 1)
         mp.setattr(cli, "_cpu_count", lambda: cpus)
         for fmt in ("csv", "json"):
             out = Path(tmp) / "out"
@@ -570,7 +576,7 @@ def cell_text(x):
 def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, cpus, data):
     # a row per point of the axes' product, the last axis fastest, then the
     # row's values; blocks of a few rows split the last axis's runs, and the
-    # ranges of blocks of up to three processes split them too
+    # ranges of rows of up to three processes split them too
     n = math.prod(map(len, axes))
     cells = {"float": column_values, "int": st.integers(-(2**63), 2**63 - 1)}
     values = [data.draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
@@ -584,6 +590,7 @@ def test_grid_writer_matches_the_product_of_its_axes(axes, kinds, block_rows, cp
     assert len(table) == n
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+        mp.setattr(cli, "MIN_RANGE_ROWS", 1)
         mp.setattr(cli, "_cpu_count", lambda: cpus)
         for fmt in ("csv", "json"):
             out = Path(tmp) / "out"
@@ -752,10 +759,10 @@ def test_entropy_clamp_failure_in_curves_exits_4(tmp_path, capsys, monkeypatch):
 def test_failure_without_index_names_the_ranges(tmp_path, capsys, monkeypatch, argv, where):
     # an error that names no state: the message names the ranges the stack
     # covers, or the point itself for a one-state stack
-    def discord_min(rhos):
+    def discord_min_ranges(rhos):
         raise cli.NumericalIntegrityError("minimizer failed")
 
-    monkeypatch.setattr(cli, "discord_min", discord_min)
+    monkeypatch.setattr(cli, "discord_min_ranges", discord_min_ranges)
     out = tmp_path / "qc.csv"
     assert main([*argv, "--out", str(out)]) == 4
     assert capsys.readouterr().err == f"error: numerical failure at {where}: minimizer failed\n"
@@ -826,7 +833,7 @@ SURFACE_ARGV = ["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", 
 
 
 def in_a_workers_range(monkeypatch):
-    """Blocks of 7 rows on 2 CPUs: of SURFACE_ARGV's 50 rows, this process writes 0-27 and a worker 28-49.
+    """Blocks of 7 rows on 2 CPUs: of SURFACE_ARGV's 50 rows, this process writes 0-24 and a worker 25-49.
 
     The state at |alpha|^2 = 2, a = 0.5 (position 7 of the sweep's one stack)
     has rows 35-39, in the worker's range.  The stack's checks and
@@ -834,6 +841,7 @@ def in_a_workers_range(monkeypatch):
     line that one process prints.
     """
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
 
 
@@ -878,6 +886,7 @@ def test_entropy_clamp_failure_in_a_surface_of_two_mean_photons_exits_4(tmp_path
 ])
 def test_non_finite_value_in_a_workers_range(tmp_path, monkeypatch, fmt, bad, message):
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     columns = {"b": [1.0, 2.0, 3.0], "c": [4.0, 5.0, 6.0]}
     for column, row in bad:
@@ -889,11 +898,11 @@ def test_non_finite_value_in_a_workers_range(tmp_path, monkeypatch, fmt, bad, me
 
 
 SPLIT_SURFACES = [
-    # 2 x 5 states of 7 thetas in blocks of 4 rows: the ranges of 2 and 3 CPUs
-    # begin at rows 36, and 24 and 48, inside a state's theta row; [24, 48)
-    # reaches from the first mean photon number into the second
-    (["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "5", "--theta-steps", "7"], 4),
-    # 5 rows of 7 thetas in blocks of 3 rows: ranges begin at rows 18, and 12 and 24
+    # 5 x 5 states of 7 thetas in blocks of 4 rows: the ranges of 2 and 3 CPUs
+    # begin at rows 87, and 58 and 116, inside a state's theta row; [58, 116)
+    # reaches from the second mean photon number across the third into the fourth
+    (["quasi-surface", *(f"--alpha2={mp}" for mp in (0.5, 1, 2, 3, 5)), "--a-steps", "5", "--theta-steps", "7"], 4),
+    # 5 rows of 7 thetas in blocks of 3 rows: ranges begin at rows 17, and 11 and 23
     (["zurek-surface", "--a-steps", "5", "--theta-steps", "7"], 3),
 ]
 
@@ -909,12 +918,86 @@ def test_surface_ranges_cut_inside_a_theta_row_write_the_same_bytes(tmp_path, mo
             mp.setattr(cli, "_cpu_count", lambda: cpus)
             if cpus > 1:
                 mp.setattr(cli, "WRITE_BLOCK_ROWS", block_rows)
+                mp.setattr(cli, "MIN_RANGE_ROWS", 1)
             assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
         return out.read_bytes()
 
     reference = written(1)
     for cpus in (2, 3):
         assert written(cpus) == reference
+    assert_no_worker_left()
+
+
+CURVES_SPLIT_ARGV = ["quasi-curves", "--alpha2", "0.5", "--alpha2", "2", "--alpha2", "5", "--a-steps", "5"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curves_ranges_write_the_same_bytes(tmp_path, monkeypatch, fmt):
+    # each process minimizes the states of its own range of rows: 15 rows in
+    # blocks of 4, ranges beginning at rows 7, and 5 and 10; the reference is
+    # the same command on one CPU, which minimizes every state in this process
+    def written(cpus):
+        out = tmp_path / f"{cpus}.{fmt}"
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_cpu_count", lambda: cpus)
+            if cpus > 1:
+                mp.setattr(cli, "WRITE_BLOCK_ROWS", 4)
+                mp.setattr(cli, "MIN_RANGE_ROWS", 1)
+            assert main([*CURVES_SPLIT_ARGV, "--format", fmt, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    reference = written(1)
+    for cpus in (2, 3):
+        assert written(cpus) == reference
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("index, where", [
+    (None, "|alpha|^2 in [0.5, 5], a in [0, 1]"),
+    # the state at |alpha|^2 = 5, a = 0.25, position 11 of the sweep's one stack
+    (11, "|alpha|^2 = 5, a = 0.25"),
+])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failure_in_a_minimization_range_exits_4(tmp_path, capsys, monkeypatch, index, where, cpus):
+    # the range that holds position 11 fails, in this process (1 CPU) or in a
+    # worker (2 CPUs: this process minimizes states 0-6, the worker 7-14),
+    # whose error comes back through its pipe: the same line either way
+    real = cli.discord_min_ranges
+
+    def discord_min_ranges(rhos):
+        minimize = real(rhos)
+
+        def failing(lo, hi):
+            if lo <= 11 < hi:
+                raise cli.NumericalIntegrityError("minimizer failed", index=index)
+            return minimize(lo, hi)
+
+        return failing
+
+    monkeypatch.setattr(cli, "discord_min_ranges", discord_min_ranges)
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    assert main([*CURVES_SPLIT_ARGV, "--out", str(tmp_path / "qc.csv")]) == 4
+    assert capsys.readouterr().err == f"error: numerical failure at {where}: minimizer failed\n"
+    assert_no_file_or_worker_left(tmp_path)
+
+
+@pytest.mark.parametrize("argv, workers", [(["quasi-curves"], 1), (["werner-curves"], 0)])
+def test_default_curves_fork_only_for_the_minimization(tmp_path, monkeypatch, argv, workers):
+    # on 2 CPUs the default quasi-curves grid (808 rows) is minimized in two
+    # ranges; the default werner-curves grid (101 rows) is closed forms and
+    # is written without a fork
+    forks = []
+    real = cli._fork_writer
+
+    def fork_writer(part, rows, starts, layout):
+        forks.append((starts.start, starts.stop))
+        return real(part, rows, starts, layout)
+
+    monkeypatch.setattr(cli, "_fork_writer", fork_writer)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert forks == [(404, 808)] * workers
     assert_no_worker_left()
 
 

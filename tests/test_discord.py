@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecswerner import discord
@@ -18,6 +18,7 @@ from ecswerner.discord import (
     conditional_states,
     discord_at,
     discord_min,
+    discord_min_ranges,
     discord_profile,
     discord_profile_ranges,
     discord_quasi_closed,
@@ -286,7 +287,7 @@ def test_stacked_profile_crosses_slices():
 
 # -- measurement kernel: the real path -------------------------------------------
 
-def einsum_blocks(rhos, vecs):
+def einsum_blocks(rhos, vecs, zero=None):
     """The complex einsum of the measurement kernel, the reference for its real path."""
     return np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
 
@@ -337,6 +338,85 @@ def test_real_path_matches_complex_einsum(states, n, per_state, phi, data):
     assert hexes(got[1]) == hexes(want[1]) and hexes(got[2]) == hexes(want[2])
     if not per_state:
         assert hexes(discord_profile(rhos, thetas, phi)) == hexes(by_einsum(discord_profile, rhos, thetas, phi))
+
+
+def full_real_blocks(rhos, vecs):
+    """The real blocks with all 16 terms (rho entry x v_b x v_d) formed, in the einsum's products and sum order."""
+    r = rhos.real.reshape(-1, 2, 2, 2, 2)
+    v = [vecs.real[..., b] for b in (0, 1)]
+    blocks = np.empty(np.broadcast_shapes((len(r), 1, 1), v[0].shape) + (2, 2))
+    for a, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t = [(r[:, a, b, c, d, None, None] * v[b]) * v[d] for b in (0, 1) for d in (0, 1)]
+        blocks[..., a, c] = (t[0] + t[1]) + (t[2] + t[3])
+    return blocks
+
+
+X_TWO_PAIRS = (np.eye(4) + np.eye(4)[::-1]) != 0
+X_ONE_PAIR = X_TWO_PAIRS.copy()
+X_ONE_PAIR[0, 3] = X_ONE_PAIR[3, 0] = False
+# the entries each stack of kernel_stacks may hold nonzero: a real X state
+# with one coherence pair, one with two, or any entry
+KERNEL_PATTERNS = [X_ONE_PAIR, X_TWO_PAIRS, np.ones((4, 4), dtype=bool)]
+# -0 diagonals and +0 coherences: each block entry (0, 0) at theta = 2 is
+# four -0 terms, which a +0 in place of the zero coherence terms would flip
+NEGATIVE_ZERO_DIAGONAL = np.diag([-0.0, -0.0, 0.5, 0.5])
+
+
+@st.composite
+def kernel_stacks(draw):
+    """A stack of real 4x4 matrices, each nonzero only inside one pattern; the rest are +0, or +-0."""
+    pattern = draw(st.sampled_from(KERNEL_PATTERNS))
+    zeros = st.sampled_from([0.0, -0.0]) if draw(st.booleans()) else st.just(0.0)
+    # signed zeros, exact values and any value in [-1, 1]: diagonals may be 0
+    # or negative, off-diagonals negative
+    entry = st.one_of(zeros, st.sampled_from([1.0, -0.5, 0.25]), st.floats(-1.0, 1.0))
+    nonzero = int(pattern.sum())
+    stack = np.empty((draw(st.integers(1, 6)), 4, 4))
+    for rho in stack:
+        rho[pattern] = draw(st.lists(entry, min_size=nonzero, max_size=nonzero))
+        rho[~pattern] = draw(st.lists(zeros, min_size=16 - nonzero, max_size=16 - nonzero))
+    return stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_stacks(), st.integers(1, 6), st.booleans(), st.data())
+@example(NEGATIVE_ZERO_DIAGONAL[None], 1, False, None)
+def test_real_blocks_equal_the_full_sum(rhos, n, per_state, data):
+    # the kernel's constant 0.0 for a term whose entry is 0 in every state
+    # leaves every bit of the 16-term sum, signed zeros included
+    shape = (len(rhos), n) if per_state else (n,)
+    if data is None:  # the explicit example: theta = 2, where cos < 0 < sin
+        thetas = np.full(shape, 2.0)
+    else:
+        size = int(np.prod(shape))
+        pool = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2.0, math.pi, -math.pi]), angles)
+        thetas = np.array(data.draw(st.lists(pool, min_size=size, max_size=size))).reshape(shape)
+    vecs = _projectors(np.atleast_2d(thetas), 0.0)
+    rhos = rhos.astype(complex)
+    assert hexes(discord._real_blocks(rhos, vecs, discord._zero_terms(rhos))) == hexes(full_real_blocks(rhos, vecs))
+
+
+class CountedProducts(np.ndarray):
+    """An array that counts the products formed with it or with its views."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.multiply and method == "__call__":
+            CountedProducts.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_real_blocks_form_only_the_nonzero_terms():
+    # a psi+ state is an X state with one coherence pair: 6 of its 16
+    # entries are nonzero, so each block entry forms only their products
+    rhos = werner_stack(StateFamily.PSI_PLUS, np.linspace(0.0, 1.0, 5), cat_params(0.5))
+    assert np.count_nonzero(rhos.real.any(axis=0)) == 6
+    vecs = _projectors(np.atleast_2d(THETA_GRID), 0.0)
+    CountedProducts.products = 0
+    blocks = discord._real_blocks(rhos.view(CountedProducts), vecs, discord._zero_terms(rhos))
+    assert CountedProducts.products == 6
+    assert hexes(blocks) == hexes(full_real_blocks(rhos, vecs))
 
 
 def test_complex_inputs_keep_the_complex_einsum():
@@ -428,6 +508,7 @@ def test_invalid_stack_names_state(states, kind, data):
         lambda stack: discord_profile(stack, THETA_GRID),
         lambda stack: discord_profile_ranges(stack, THETA_GRID),
         discord_min,
+        discord_min_ranges,
     ):
         with pytest.raises(ValueError) as stacked:
             call(np.array(states))
@@ -511,6 +592,21 @@ def test_stacked_min_matches_per_state(states):
 
 def test_stacked_min_of_empty_stack():
     assert discord_min(np.zeros((0, 4, 4), dtype=complex)) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(measured_states(), min_size=1, max_size=40), st.data())
+def test_min_ranges_match_the_whole_minimization(states, data):
+    # any range of states gets exactly its results of the whole minimization,
+    # field for field, and minimizes without an eigensolve: every one ran
+    # when the ranges were made
+    stack = np.array(states, dtype=complex)
+    minimize = discord_min_ranges(stack)
+    lo = data.draw(st.integers(0, len(states)))
+    hi = data.draw(st.integers(lo, len(states)))
+    with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigensolve in a range")):
+        part = minimize(lo, hi)
+    assert result_hexes(part) == result_hexes(discord_min(stack)[lo:hi])
 
 
 # -- discord_min: the screened coarse scan and the structural phase test --------
