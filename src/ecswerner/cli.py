@@ -486,8 +486,8 @@ def run_sweep(args):
     state, whose index counts the states of the mean photon numbers x a
     grid, a fastest; an error with no index names the ranges (the point,
     for a one-state grid).  A MemoryError while the rows are computed or
-    written, in this process or a writer worker, exits 2 naming the
-    grid's row count.
+    written, in this process or a writer worker, exits 2 naming the row
+    count of the table written.
     """
     try:
         cfg = build_config(args)
@@ -509,7 +509,7 @@ def run_sweep(args):
             "the measurement angle; writing werner-curves output instead",
             file=sys.stderr,
         )
-        generator = werner_curves_rows
+        generator, grid = werner_curves_rows, (a_grid,)
 
     try:
         columns, rows = generator(cfg)

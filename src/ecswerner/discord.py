@@ -44,9 +44,7 @@ The real contraction builds each block entry on its own, from one entry
 of rho per state times contiguous arrays of projector components, with
 the einsum's products and sum order.  A term whose entry of rho is 0 in
 every state of the stack is the constant 0.0 in its place in that sum, so
-an X state forms 6 products, not 16; unless an entry is -0 (then every
-term is formed), this keeps every bit, signed zeros included.  The
-minimizer finds those entries once per range of states, not per call.
+an X state forms 6 products, not 16.
 """
 
 import math
@@ -159,34 +157,27 @@ def _squared(fn, x):
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
-def _zero_terms(rhos):
-    """The entries (a, b, c, d) of rho that are 0 in every state of the stack, a mask for _real_blocks; none if an entry is -0."""
-    r = rhos.real.reshape(-1, 2, 2, 2, 2)
-    return ~r.any(axis=0) & ~(np.signbit(r) & (r == 0)).any()
-
-
-def _real_blocks(rhos, vecs, zero):
+def _real_blocks(rhos, vecs):
     """The conditional X blocks of real states measured with real projectors.
 
     The real part of the complex einsum in _spectra, computed in einsum's
     own order: each term is (rho[s, a, b, c, d] * v_b) * v_d, and the four
     terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).  Each block entry
     (a, c) is built on its own from contiguous (S|1, n, 2) components v_b,
-    one scalar of rho per state and term.
+    one scalar of rho per state and term.  A -0 entry of rho counts as +0,
+    as in the einsum's complex products.
 
     A term whose entry of rho is 0 in every state is the constant 0.0 in
     its place in the sum, so a stack of X states with one coherence pair
-    (6 nonzero entries of 16) forms 6 products.  zero marks those entries:
-    _zero_terms of rhos, or of any stack that holds every state of rhos (an
-    entry 0 in every state of a stack is 0 in every part of it).  At finite
-    angles this keeps every bit of each sum, the sign of a zero included,
-    as long as no entry is -0: putting +0 for a zero term changes a sum
-    only where the sum is -0, which needs all four terms to be -0, and of
-    the two terms b = d the one whose |v_b| is the larger (at least
-    1/sqrt(2)) is -0 only if its entry is.  With a -0 entry, _zero_terms
-    marks nothing and every term is formed.
+    (6 nonzero entries of 16) forms 6 products.  At finite angles this
+    keeps every bit of each sum: +0 in place of a term changes a sum only
+    where the sum is -0, which needs all four terms to be -0, and of the
+    two terms b = d the one whose |v_b| is the larger (at least
+    1/sqrt(2)) is -0 only if its entry is negative and the product
+    underflows.
     """
-    r = rhos.real.reshape(-1, 2, 2, 2, 2)
+    r = rhos.real.reshape(-1, 2, 2, 2, 2) + 0.0
+    zero = ~r.any(axis=0)
     v = [np.ascontiguousarray(vecs.real[..., b]) for b in (0, 1)]
     blocks = np.empty(np.broadcast_shapes((len(r), 1, 1), v[0].shape) + (2, 2))
     for a, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -199,7 +190,7 @@ def _real_blocks(rhos, vecs, zero):
     return blocks
 
 
-def _spectra(rhos, thetas, phis, zero=None):
+def _spectra(rhos, thetas, phis):
     """Measure Y on a stack of validated states at arrays of angles.
 
     rhos has shape (S, 4, 4); thetas and phis broadcast together to shape
@@ -216,12 +207,12 @@ def _spectra(rhos, thetas, phis, zero=None):
     library builds, at every angle of a sweep or of the minimizer), the
     projectors are real and the blocks come from _real_blocks as real
     arrays, with the same bits as the real part of the complex einsum,
-    whose imaginary part is then zero; zero is its zero-term mask, made
-    here when not given.  Any other input goes through the complex einsum.
+    whose imaginary part is then zero.  Any other input goes through the
+    complex einsum.
     """
     vecs = _projectors(np.atleast_2d(thetas), phis)
     if not np.any(phis) and not rhos.imag.any():
-        blocks = _real_blocks(rhos, vecs, _zero_terms(rhos) if zero is None else zero)
+        blocks = _real_blocks(rhos, vecs)
     else:
         blocks = np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
     m00, m11 = blocks[..., 0, 0].real, blocks[..., 1, 1].real
@@ -257,9 +248,9 @@ def _xlogx_estimate(p):
     return np.where(p < XLOGX_FLOOR, 0.0, p * np.log2(np.maximum(p, XLOGX_FLOOR)))
 
 
-def _measure(rhos, thetas, phis, zero=None):
+def _measure(rhos, thetas, phis):
     """The blocks of _spectra, the outcome probabilities P_j, shape (S, n, 2), and the conditional entropies, (S, n)."""
-    blocks, spectra = _spectra(rhos, thetas, phis, zero)
+    blocks, spectra = _spectra(rhos, thetas, phis)
     return blocks, spectra[0], _entropy_sum(spectra, _xlogx)
 
 
@@ -477,9 +468,6 @@ def discord_min_ranges(rho):
 def _minimize(rhos, parts, grid):
     """The DiscordResult of each state at its theta minimum: the coarse scan on grid, the golden section, the final evaluation."""
     k, k_value = _coarse_minimum(rhos, parts, grid)
-    # one zero-term mask for the golden section and the final evaluation,
-    # whose kernel calls each measure all of rhos or a part of it
-    zero = _zero_terms(rhos)
 
     # golden-section search on [grid[k-1], grid[k+1]], one kernel call per
     # step for every state whose bracket is still wider than the tolerance
@@ -487,7 +475,7 @@ def _minimize(rhos, parts, grid):
     b = grid[np.minimum(k + 1, len(grid) - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = _discord(parts, _measure(rhos, np.stack([c, d], axis=1), 0.0, zero)[2]).T
+    fc, fd = _discord(parts, _measure(rhos, np.stack([c, d], axis=1), 0.0)[2]).T
     live = np.flatnonzero(b - a > THETA_REFINE_TOL)
     while live.size:
         left = fc[live] < fd[live]
@@ -495,7 +483,7 @@ def _minimize(rhos, parts, grid):
         na, nb = np.where(left, la, lc), np.where(left, ld, lb)
         nc = np.where(left, nb - _INVPHI * (nb - na), ld)
         nd = np.where(left, lc, na + _INVPHI * (nb - na))
-        cond = _measure(rhos[live], np.where(left, nc, nd)[:, None], 0.0, zero)[2]
+        cond = _measure(rhos[live], np.where(left, nc, nd)[:, None], 0.0)[2]
         f = _discord(tuple(v[live] for v in parts), cond)[:, 0]
         a[live], b[live], c[live], d[live] = na, nb, nc, nd
         fc[live], fd[live] = np.where(left, f, fd[live]), np.where(left, fc[live], f)
@@ -503,7 +491,7 @@ def _minimize(rhos, parts, grid):
 
     # the refined midpoint unless the grid point is strictly better
     final = np.stack([(a + b) / 2.0, grid[k]], axis=1)
-    _, probs, cond = _measure(rhos, final, 0.0, zero)
+    _, probs, cond = _measure(rhos, final, 0.0)
     pick = (k_value < _discord(parts, cond)[:, 0]).astype(int)
     return [
         _result(parts, i, float(final[i, j]), probs[i, j].tolist(), float(cond[i, j]))

@@ -477,20 +477,29 @@ SMALL_SWEEPS = [
     (["quasi-surface"], 2 * 3 * 5),
     (["werner-curves"], 3),
     (["quasi-curves"], 2 * 3),
+    # a maximally entangled family's quasi-surface writes the werner-curves table
+    (["quasi-surface", "--family", "psi-"], 3),
 ]
 
 
 @pytest.mark.parametrize("argv, size", SMALL_SWEEPS)
 def test_grid_out_of_memory_in_the_rows_exits_2(tmp_path, capsys, monkeypatch, argv, size):
-    # the row generator cannot allocate: the line names the grid's row count
+    # the row generator that runs cannot allocate: the line names the row
+    # count of the table it computes
     def no_memory(cfg):
         raise MemoryError
 
-    monkeypatch.setattr(cli, argv[0].replace("-", "_") + "_rows", no_memory)
+    werner = "--family" in argv
+    monkeypatch.setattr(cli, "werner_curves_rows" if werner else argv[0].replace("-", "_") + "_rows", no_memory)
     out = tmp_path / "out.csv"
     argv = [*argv, "--alpha2", "1", "--alpha2", "2", "--a-steps", "3", "--theta-steps", "5", "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: the {argv[0]} grid of {size} rows does not fit in memory\n"
+    note = (
+        "note: discord of the psi- Werner state does not depend on the measurement angle; "
+        "writing werner-curves output instead\n"
+    )
+    error = f"error: the {argv[0]} grid of {size} rows does not fit in memory\n"
+    assert capsys.readouterr().err == (note if werner else "") + error
     assert list(tmp_path.iterdir()) == []
     assert_no_worker_left()
 
@@ -935,20 +944,24 @@ CURVES_SPLIT_ARGV = ["quasi-curves", "--alpha2", "0.5", "--alpha2", "2", "--alph
 def test_curves_ranges_write_the_same_bytes(tmp_path, monkeypatch, fmt):
     # each process minimizes the states of its own range of rows: 15 rows in
     # blocks of 4, ranges beginning at rows 7, and 5 and 10; the reference is
-    # the same command on one CPU, which minimizes every state in this process
-    def written(cpus):
-        out = tmp_path / f"{cpus}.{fmt}"
+    # the same command on one CPU, which minimizes every state in this
+    # process.  psi- states have the other zero pattern (rho_14 = 0, where
+    # psi+ has rho_23 = 0) and a profile flat in theta, so every grid point
+    # is a screening candidate
+    def written(cpus, family):
+        out = tmp_path / f"{family}-{cpus}.{fmt}"
         with monkeypatch.context() as mp:
             mp.setattr(cli, "_cpu_count", lambda: cpus)
             if cpus > 1:
                 mp.setattr(cli, "WRITE_BLOCK_ROWS", 4)
                 mp.setattr(cli, "MIN_RANGE_ROWS", 1)
-            assert main([*CURVES_SPLIT_ARGV, "--format", fmt, "--out", str(out)]) == 0
+            assert main([*CURVES_SPLIT_ARGV, "--family", family, "--format", fmt, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    reference = written(1)
-    for cpus in (2, 3):
-        assert written(cpus) == reference
+    for family in ("psi+", "psi-"):
+        reference = written(1, family)
+        for cpus in (2, 3):
+            assert written(cpus, family) == reference
     assert_no_worker_left()
 
 

@@ -287,7 +287,7 @@ def test_stacked_profile_crosses_slices():
 
 # -- measurement kernel: the real path -------------------------------------------
 
-def einsum_blocks(rhos, vecs, zero=None):
+def einsum_blocks(rhos, vecs):
     """The complex einsum of the measurement kernel, the reference for its real path."""
     return np.einsum("sabcd,snjb,snjd->snjac", rhos.reshape(-1, 2, 2, 2, 2), vecs.conj(), vecs)
 
@@ -314,6 +314,16 @@ def real_states(draw):
 kernel_angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2.0, math.pi, -math.pi / 2.0]), angles)
 
 
+# a real state with -0 entries, from g g^T: at theta = 0 its real products
+# give -0 in block entries (0, 1) and (1, 0) of outcome 0, the einsum +0
+NEGATIVE_ZERO_STATE = np.array([
+    [1 / 3, 0.0, -0.0, -1 / 6],
+    [0.0, 1 / 6, -1 / 6, -1 / 6],
+    [-0.0, -1 / 6, 1 / 6, 1 / 6],
+    [-1 / 6, -1 / 6, 1 / 6, 1 / 3],
+])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(real_states(), min_size=1, max_size=40),
@@ -322,6 +332,7 @@ kernel_angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2.0, math.pi, -m
     st.sampled_from([0.0, -0.0]),
     st.data(),
 )
+@example([np.eye(4) / 4.0, NEGATIVE_ZERO_STATE], 1, False, 0.0, None)
 def test_real_path_matches_complex_einsum(states, n, per_state, phi, data):
     # a real stack at phi = +-0 takes the real path, and its blocks, P_j and
     # conditional entropies equal the complex einsum's as float hex, signed
@@ -329,7 +340,10 @@ def test_real_path_matches_complex_einsum(states, n, per_state, phi, data):
     rhos = np.array(states, dtype=complex)
     shape = (len(states), n) if per_state else (n,)
     size = int(np.prod(shape))
-    thetas = np.array(data.draw(st.lists(kernel_angles, min_size=size, max_size=size))).reshape(shape)
+    if data is None:  # the explicit example: theta = 0
+        thetas = np.zeros(shape)
+    else:
+        thetas = np.array(data.draw(st.lists(kernel_angles, min_size=size, max_size=size))).reshape(shape)
     got = _measure(rhos, thetas, phi)
     want = by_einsum(_measure, rhos, thetas, phi)
     assert got[0].dtype == np.float64 and want[0].dtype == np.complex128
@@ -340,25 +354,14 @@ def test_real_path_matches_complex_einsum(states, n, per_state, phi, data):
         assert hexes(discord_profile(rhos, thetas, phi)) == hexes(by_einsum(discord_profile, rhos, thetas, phi))
 
 
-def full_real_blocks(rhos, vecs):
-    """The real blocks with all 16 terms (rho entry x v_b x v_d) formed, in the einsum's products and sum order."""
-    r = rhos.real.reshape(-1, 2, 2, 2, 2)
-    v = [vecs.real[..., b] for b in (0, 1)]
-    blocks = np.empty(np.broadcast_shapes((len(r), 1, 1), v[0].shape) + (2, 2))
-    for a, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        t = [(r[:, a, b, c, d, None, None] * v[b]) * v[d] for b in (0, 1) for d in (0, 1)]
-        blocks[..., a, c] = (t[0] + t[1]) + (t[2] + t[3])
-    return blocks
-
-
 X_TWO_PAIRS = (np.eye(4) + np.eye(4)[::-1]) != 0
 X_ONE_PAIR = X_TWO_PAIRS.copy()
 X_ONE_PAIR[0, 3] = X_ONE_PAIR[3, 0] = False
 # the entries each stack of kernel_stacks may hold nonzero: a real X state
 # with one coherence pair, one with two, or any entry
 KERNEL_PATTERNS = [X_ONE_PAIR, X_TWO_PAIRS, np.ones((4, 4), dtype=bool)]
-# -0 diagonals and +0 coherences: each block entry (0, 0) at theta = 2 is
-# four -0 terms, which a +0 in place of the zero coherence terms would flip
+# -0 diagonals and +0 coherences: at theta = 2 block entry (0, 0) of
+# outcome 0 sums four -0 real products, where the einsum gives +0
 NEGATIVE_ZERO_DIAGONAL = np.diag([-0.0, -0.0, 0.5, 0.5])
 
 
@@ -383,7 +386,7 @@ def kernel_stacks(draw):
 @example(NEGATIVE_ZERO_DIAGONAL[None], 1, False, None)
 def test_real_blocks_equal_the_full_sum(rhos, n, per_state, data):
     # the kernel's constant 0.0 for a term whose entry is 0 in every state
-    # leaves every bit of the 16-term sum, signed zeros included
+    # leaves every bit of the einsum's 16-term sum, signed zeros included
     shape = (len(rhos), n) if per_state else (n,)
     if data is None:  # the explicit example: theta = 2, where cos < 0 < sin
         thetas = np.full(shape, 2.0)
@@ -393,18 +396,24 @@ def test_real_blocks_equal_the_full_sum(rhos, n, per_state, data):
         thetas = np.array(data.draw(st.lists(pool, min_size=size, max_size=size))).reshape(shape)
     vecs = _projectors(np.atleast_2d(thetas), 0.0)
     rhos = rhos.astype(complex)
-    assert hexes(discord._real_blocks(rhos, vecs, discord._zero_terms(rhos))) == hexes(full_real_blocks(rhos, vecs))
+    assert hexes(discord._real_blocks(rhos, vecs)) == hexes(einsum_blocks(rhos, vecs).real)
 
 
 class CountedProducts(np.ndarray):
-    """An array that counts the products formed with it or with its views."""
+    """An array that counts the products formed with it, its views, or what other ufuncs make of it.
+
+    A product is a plain array; any other ufunc's array result, such as a
+    copy r + 0.0, counts on.
+    """
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
         if ufunc is np.multiply and method == "__call__":
             CountedProducts.products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+            return out
+        return out.view(CountedProducts) if isinstance(out, np.ndarray) else out
 
 
 def test_real_blocks_form_only_the_nonzero_terms():
@@ -414,9 +423,9 @@ def test_real_blocks_form_only_the_nonzero_terms():
     assert np.count_nonzero(rhos.real.any(axis=0)) == 6
     vecs = _projectors(np.atleast_2d(THETA_GRID), 0.0)
     CountedProducts.products = 0
-    blocks = discord._real_blocks(rhos.view(CountedProducts), vecs, discord._zero_terms(rhos))
+    blocks = discord._real_blocks(rhos.view(CountedProducts), vecs)
     assert CountedProducts.products == 6
-    assert hexes(blocks) == hexes(full_real_blocks(rhos, vecs))
+    assert hexes(blocks) == hexes(einsum_blocks(rhos, vecs).real)
 
 
 def test_complex_inputs_keep_the_complex_einsum():
