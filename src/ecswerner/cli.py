@@ -35,7 +35,6 @@ from .discord import (
 )
 from .entanglement import _closed_concurrence, eof
 from .qmatrix import NumericalIntegrityError
-from .verify import run_verification
 from .werner import werner_stack
 
 DEFAULT_A_MIN = 0.0
@@ -76,8 +75,8 @@ class Table:
     """A sweep's rows: the 1-D grid axes in column order, the last fastest, then values(lo, hi).
 
     values(lo, hi) gives one flat array per other column, for rows lo to
-    hi - 1.  The writer calls it in each process on the rows that process
-    writes (see write_rows), so a sweep's heavy columns are computed there.
+    hi - 1.  The writer calls it on each block of rows it writes, in the
+    process that writes the block (see _write_blocks).
     """
 
     __slots__ = ("axes", "values")
@@ -97,7 +96,10 @@ def _sliced(*columns):
 
 
 def _by_lines(width, columns):
-    """A Table's values from columns(first, last), the flat columns of whole lines first to last - 1 of width rows."""
+    """A Table's values from columns(first, last), the flat columns of whole lines first to last - 1 of width rows.
+
+    A line that lo or hi cuts is computed whole, by the calls on both sides of the cut.
+    """
 
     def values(lo, hi):
         first = lo // width
@@ -110,7 +112,7 @@ def _by_lines(width, columns):
 def zurek_surface_rows(cfg):
     columns = ["a", "theta", "D"]
     a, thetas = cfg.a_grid, cfg.theta_grid
-    # a line is one a, so a range computes whole rows of zurek_discord
+    # a line is one a, so a block computes whole rows of zurek_discord
     d = _by_lines(len(thetas), lambda first, last: [zurek_discord(a[first:last, None], thetas).ravel()])
     return columns, Table([a, thetas], d)
 
@@ -125,7 +127,8 @@ def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
     params, rhos = _quasi_stack(cfg)
     a_grid, thetas, size = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid)
-    # every check and eigensolve of the stack runs here, before the writer forks
+    # every check and eigensolve of the stack runs here, before the writer
+    # forks; a block then only measures its states and takes their closed form
     profile = discord_profile_ranges(rhos, thetas)
 
     def states(first, last):
@@ -157,7 +160,7 @@ def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
     params, rhos = _quasi_stack(cfg)
     # every check, eigensolve and phase probe of the stack runs here, before
-    # the writer forks; each range of rows is one lockstep minimization
+    # the writer forks; each block of rows is then one lockstep minimization
     minimize = discord_min_ranges(rhos)
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
 
@@ -209,24 +212,26 @@ def _cpu_count():
 def _write_blocks(fh, rows, starts, layout):
     """Compute the rows starts.start to starts.stop - 1 and write them to fh in blocks of starts.step rows.
 
-    The range's values come from one rows.values call.  A non-finite value
-    raises ValueError naming the first column that holds one and its first
-    row there.  layout holds the text of each outer grid point (one prefix
-    each) and of each last-axis value, every axis cell with its key and
-    trailing comma; then the float format spec, and the name and the key
-    of each other column; then the text between rows, after a block's last
-    row and before a block that is not the file's first.
+    Each block's values come from one rows.values call, so a process holds
+    one block's compute at a time.  A non-finite value raises ValueError
+    naming, in the first block that holds one, the first column that does
+    and its first row there.  layout holds the text of each outer grid
+    point (one prefix each) and of each last-axis value, every axis cell
+    with its key and trailing comma; then the float format spec, and the
+    name and the key of each other column; then the text between rows,
+    after a block's last row and before a block that is not the file's
+    first.
     """
     prefixes, last, spec, names, keys, between, end, lead = layout
-    width, first_row = len(last), starts.start
-    values = rows.values(first_row, starts.stop)
-    for name, x in zip(names, values):
-        finite = np.isfinite(x)
-        if not finite.all():
-            raise ValueError(f"non-finite value in column {name} at row {first_row + int(np.argmin(finite))}")
+    width = len(last)
     for start in starts:
         stop = min(start + starts.step, starts.stop)
-        texts = (_format_column(x[start - first_row : stop - first_row], spec, key) for x, key in zip(values, keys))
+        values = rows.values(start, stop)
+        for name, x in zip(names, values):
+            finite = np.isfinite(x)
+            if not finite.all():
+                raise ValueError(f"non-finite value in column {name} at row {start + int(np.argmin(finite))}")
+        texts = (_format_column(x, spec, key) for x, key in zip(values, keys))
         tails = list(map(",".join, zip(*texts)))
         runs = []
         # the block's rows in runs, one per outer grid point it reaches
@@ -299,13 +304,12 @@ def write_rows(path, fmt, columns, rows):
     The rows are cut into W contiguous ranges, W the number of CPUs this
     process may run on but at most n // MIN_RANGE_ROWS and at least 1 (1
     where os.fork does not exist); no flag, config key or environment
-    variable sets it.  Each range is written in blocks of at most
-    WRITE_BLOCK_ROWS from its first row.  This process writes the header
-    and the first range to a temporary file in the target directory.  Each
-    other range goes to a forked worker, which writes it to a part file
-    beside the temporary file; the parts are appended in order, and the
-    temporary file then replaces path.  Each process computes its range's
-    rows (one rows.values call) and then formats them.  The bytes are the
+    variable sets it.  This process writes the header and the first range
+    to a temporary file in the target directory.  Each other range goes to
+    a forked worker, which writes it to a part file beside the temporary
+    file; the parts are appended in order, and the temporary file then
+    replaces path.  Each process computes and writes its range a block at
+    a time from the range's first row (_write_blocks).  The bytes are the
     same for any W and wherever the cuts fall.  Forking is safe here: only
     this writer forks, and a worker only computes with numpy ufuncs and
     math, formats and writes, calling no BLAS or LAPACK routine, so it
@@ -318,10 +322,9 @@ def write_rows(path, fmt, columns, rows):
 
     A non-finite axis entry raises ValueError naming its column and the
     first row that uses it before anything is written.  A non-finite
-    computed value raises ValueError naming its column and row as soon as
-    its range is computed: within a range, the first column that holds
-    one, at its first row there.  The ranges are joined in order, so the
-    first range that holds one is the one reported, whichever process
+    computed value raises ValueError as soon as its block is computed
+    (_write_blocks names which one); the ranges are joined in order, so
+    the first range that holds one is the one reported, whichever process
     computed it.  A write or computation that fails, here or in a worker,
     or an interrupt stops and reaps every worker, leaves an existing file
     at path untouched and removes the part files and the temporary file.
@@ -539,6 +542,8 @@ def run_sweep(args):
 
 
 def run_verify():
+    from .verify import run_verification  # here, so that a sweep does not compile the module
+
     checks, notes = run_verification()
     print("closed-form verification report")
     for check in checks:

@@ -13,20 +13,15 @@ discord_profile and discord_min take one 4x4 state or an (S, 4, 4) stack.
 A stack goes through one stacked path: it is validated at once (a failing
 state k is named "state k: " in the message), the entropies of its joint
 and reduced states come from one eigensolve each, and its values equal
-those of one call per state bit for bit.  discord_profile_ranges splits a
-profile in two: the checks and eigensolves of the whole stack at once, then
-the measurement of any range of its states.  discord_min_ranges splits a
-minimization the same way: the checks, eigensolves and phase probe of the
-whole stack, then the coarse scan, golden section and final evaluation of
-any range of its states; discord_min is it over every state.  discord_min
-minimizes a stack in lockstep: each kernel call (phase probe, coarse scan,
-golden-section step, final evaluation) covers many states at once.
-Every state starts from the same bracket width and stops at the same
-tolerance, so the number of golden-section steps does not grow with the
-stack: the quasi-curves sweep minimizes all of its (|alpha|^2, a) states
-in one call, split only into the writer's ranges.  The many-angle calls, a profile and discord_min's probe and scan,
-take at most MIN_SLICE_STATES states each, which caps the kernel's
-temporaries.
+those of one call per state bit for bit.  discord_profile_ranges and
+discord_min_ranges split that path in two: the checks and eigensolves (and
+discord_min's phase probe) of the whole stack, then the measurement or the
+minimization of any range of its states.  discord_min minimizes a range in
+lockstep: each kernel call covers many states at once, and as every state
+starts from the same bracket width and stops at the same tolerance, the
+number of golden-section steps does not grow with the range.  The
+many-angle calls, a profile and discord_min's probe and scan, take at most
+MIN_SLICE_STATES states each, which caps the kernel's temporaries.
 
 discord_min probes only the states that an exact structural test does
 not clear: an X state with one coherence pair cannot depend on the

@@ -906,6 +906,33 @@ def test_non_finite_value_in_a_workers_range(tmp_path, monkeypatch, fmt, bad, me
     assert_no_file_or_worker_left(tmp_path)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_value_is_reported_by_block_then_column(tmp_path, monkeypatch, fmt):
+    # one range in blocks of 2 rows: row 1's block is computed first, so its
+    # column c is named, though column b comes first in the file's order
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 2)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    b, c = np.ones(4), np.ones(4)
+    b[3] = c[1] = math.nan
+    with pytest.raises(ValueError, match="^non-finite value in column c at row 1$"):
+        write_rows(str(tmp_path / "out"), fmt, ["a", "b", "c"], cli.Table([np.arange(4.0)], cli._sliced(b, c)))
+    assert_no_file_or_worker_left(tmp_path)
+
+
+def test_each_block_is_one_values_call(tmp_path, monkeypatch):
+    # one CPU, blocks of 7: the writer computes each block's rows as it writes them
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    calls, values = [], cli._sliced(np.arange(50.0))
+
+    def recorded(lo, hi):
+        calls.append((lo, hi))
+        return values(lo, hi)
+
+    write_rows(str(tmp_path / "out.csv"), "csv", ["a", "v"], cli.Table([np.arange(50.0)], recorded))
+    assert calls == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 42), (42, 49), (49, 50)]
+
+
 SPLIT_SURFACES = [
     # 5 x 5 states of 7 thetas in blocks of 4 rows: the ranges of 2 and 3 CPUs
     # begin at rows 87, and 58 and 116, inside a state's theta row; [58, 116)
