@@ -72,18 +72,20 @@ class SweepConfig:
 # the rows as a Table
 
 class Table:
-    """A sweep's rows: the 1-D grid axes in column order, the last fastest, then values(lo, hi).
+    """A sweep's rows: the 1-D grid axes in column order, the last fastest, then values(lo, hi) and line.
 
     values(lo, hi) gives one flat array per other column, for rows lo to
-    hi - 1.  The writer calls it on each block of rows it writes, in the
-    process that writes the block (see _write_blocks).
+    hi - 1.  line is the number of rows values computes together: a
+    surface's theta line, or 1, the default.  The writer calls values on
+    whole lines only, each line once, in the process that writes it.
     """
 
-    __slots__ = ("axes", "values")
+    __slots__ = ("axes", "values", "line")
 
-    def __init__(self, axes, values):
+    def __init__(self, axes, values, line=1):
         self.axes = [np.asarray(x) for x in axes]
         self.values = values
+        self.line = line
 
     def __len__(self):
         return math.prod(map(len, self.axes))
@@ -95,26 +97,12 @@ def _sliced(*columns):
     return lambda lo, hi: [x[lo:hi] for x in columns]
 
 
-def _by_lines(width, columns):
-    """A Table's values from columns(first, last), the flat columns of whole lines first to last - 1 of width rows.
-
-    A line that lo or hi cuts is computed whole, by the calls on both sides of the cut.
-    """
-
-    def values(lo, hi):
-        first = lo // width
-        skip = lo - first * width
-        return [x[skip : skip + hi - lo] for x in columns(first, -(-hi // width))]
-
-    return values
-
-
 def zurek_surface_rows(cfg):
     columns = ["a", "theta", "D"]
     a, thetas = cfg.a_grid, cfg.theta_grid
-    # a line is one a, so a block computes whole rows of zurek_discord
-    d = _by_lines(len(thetas), lambda first, last: [zurek_discord(a[first:last, None], thetas).ravel()])
-    return columns, Table([a, thetas], d)
+    w = len(thetas)
+    # a line is one a: the writer asks for whole lines, a's lo // w to hi // w - 1
+    return columns, Table([a, thetas], lambda lo, hi: [zurek_discord(a[lo // w : hi // w, None], thetas).ravel()], w)
 
 
 def _quasi_stack(cfg):
@@ -126,7 +114,7 @@ def _quasi_stack(cfg):
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
     params, rhos = _quasi_stack(cfg)
-    a_grid, thetas, size = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid)
+    a_grid, thetas, size, w = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid), len(cfg.theta_grid)
     # every check and eigensolve of the stack runs here, before the writer
     # forks; a block then only measures its states and takes their closed form
     profile = discord_profile_ranges(rhos, thetas)
@@ -143,8 +131,9 @@ def quasi_surface_rows(cfg):
         closed = closed.ravel()
         return [closed, piped, np.abs(closed - piped), flagged.ravel()]
 
+    # a line is one state: the writer asks for whole lines, states lo // w to hi // w - 1
     grid = [cfg.mean_photon_list, a_grid, thetas]
-    return columns, Table(grid, _by_lines(len(thetas), states))
+    return columns, Table(grid, lambda lo, hi: states(lo // w, hi // w), w)
 
 
 def werner_curves_rows(cfg):
@@ -174,13 +163,9 @@ def quasi_curves_rows(cfg):
 # ---------------------------------------------------------------------------
 # output
 
-# rows formatted and written per block, which bounds the text held at once
+# rows formatted and written at once, which bounds the text held; a block computes as many, in whole lines
 WRITE_BLOCK_ROWS = 4096
-# the fewest rows the writer gives a process of its own, so a table of fewer
-# than 2 * MIN_RANGE_ROWS rows is written without a fork.  A worker costs a
-# few ms (the fork, copy-on-write faults, its exit): on a 2-core x86-64 host,
-# quasi-curves of 8 x 64 rows took 56 ms in one process and 43 ms in two,
-# and of 8 x 50 rows 52 and 68 ms
+# the fewest rows the writer gives a process of its own: a worker costs a few ms to fork, fault in and exit
 MIN_RANGE_ROWS = 256
 
 
@@ -210,36 +195,39 @@ def _cpu_count():
 
 
 def _write_blocks(fh, rows, starts, layout):
-    """Compute the rows starts.start to starts.stop - 1 and write them to fh in blocks of starts.step rows.
+    """Compute the rows starts.start to starts.stop - 1 in blocks of starts.step rows and write them to fh.
 
     Each block's values come from one rows.values call, so a process holds
-    one block's compute at a time.  A non-finite value raises ValueError
-    naming, in the first block that holds one, the first column that does
-    and its first row there.  layout holds the text of each outer grid
-    point (one prefix each) and of each last-axis value, every axis cell
-    with its key and trailing comma; then the float format spec, and the
-    name and the key of each other column; then the text between rows,
-    after a block's last row and before a block that is not the file's
-    first.
+    one block's compute at a time; a block is then formatted and written
+    in slices of at most WRITE_BLOCK_ROWS rows, which bounds its text.  A
+    non-finite value raises ValueError naming, in the first block that
+    holds one, the first column that does and its first row there.  layout
+    holds the text of each outer grid point (one prefix each) and of each
+    last-axis value, every axis cell with its key and trailing comma; then
+    the float format spec, and the name and the key of each other column;
+    then the text between rows, after a slice's last row and before a
+    slice that is not the file's first.
     """
     prefixes, last, spec, names, keys, between, end, lead = layout
     width = len(last)
-    for start in starts:
-        stop = min(start + starts.step, starts.stop)
-        values = rows.values(start, stop)
+    for block in starts:
+        block_end = min(block + starts.step, starts.stop)
+        values = rows.values(block, block_end)
         for name, x in zip(names, values):
             finite = np.isfinite(x)
             if not finite.all():
-                raise ValueError(f"non-finite value in column {name} at row {start + int(np.argmin(finite))}")
-        texts = (_format_column(x, spec, key) for x, key in zip(values, keys))
-        tails = list(map(",".join, zip(*texts)))
-        runs = []
-        # the block's rows in runs, one per outer grid point it reaches
-        for first in range(start - start % width, stop, width):
-            lo, hi = max(start, first), min(stop, first + width)
-            cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
-            runs.append(prefixes[first // width] + (between + prefixes[first // width]).join(cells))
-        fh.write((lead if start else "") + between.join(runs) + end)
+                raise ValueError(f"non-finite value in column {name} at row {block + int(np.argmin(finite))}")
+        for start in range(block, block_end, WRITE_BLOCK_ROWS):
+            stop = min(start + WRITE_BLOCK_ROWS, block_end)
+            texts = (_format_column(x[start - block : stop - block], spec, key) for x, key in zip(values, keys))
+            tails = list(map(",".join, zip(*texts)))
+            runs = []
+            # the slice's rows in runs, one per outer grid point it reaches
+            for first in range(start - start % width, stop, width):
+                lo, hi = max(start, first), min(stop, first + width)
+                cells = map(operator.add, last[lo - first : hi - first], tails[lo - start : hi - start])
+                runs.append(prefixes[first // width] + (between + prefixes[first // width]).join(cells))
+            fh.write((lead if start else "") + between.join(runs) + end)
 
 
 def _fork_writer(part, *args):
@@ -295,30 +283,32 @@ def _stop_writers(workers):
 def write_rows(path, fmt, columns, rows):
     """Write rows, a Table, to path atomically.
 
-    The rows go out in blocks of WRITE_BLOCK_ROWS, each axis value
-    formatted once per file and each other distinct value once per block.
-    CSV and JSON share this layout and differ only in their text: JSON
-    writes each float as float.__repr__ does, which is json's text for a
-    finite float, and each cell after its column's key.
+    Each axis value is formatted once per file and each other distinct
+    value once per text slice (_write_blocks).  CSV and JSON share this
+    layout and differ only in their text: JSON writes each float as
+    float.__repr__ does, which is json's text for a finite float, and each
+    cell after its column's key.
 
-    The rows are cut into W contiguous ranges, W the number of CPUs this
-    process may run on but at most n // MIN_RANGE_ROWS and at least 1 (1
-    where os.fork does not exist); no flag, config key or environment
-    variable sets it.  This process writes the header and the first range
-    to a temporary file in the target directory.  Each other range goes to
-    a forked worker, which writes it to a part file beside the temporary
+    The rows are cut between lines (rows.line rows each) into W contiguous
+    ranges, W the number of CPUs this process may run on but at most
+    n // MIN_RANGE_ROWS and n // rows.line, and at least 1 (1 where
+    os.fork does not exist); no flag, config key or environment variable
+    sets it.  This process writes the header and the first range to a
+    temporary file in the target directory.  Each other range goes to a
+    forked worker, which writes it to a part file beside the temporary
     file; the parts are appended in order, and the temporary file then
-    replaces path.  Each process computes and writes its range a block at
-    a time from the range's first row (_write_blocks).  The bytes are the
-    same for any W and wherever the cuts fall.  Forking is safe here: only
-    this writer forks, and a worker only computes with numpy ufuncs and
-    math, formats and writes, calling no BLAS or LAPACK routine, so it
-    never needs numpy's BLAS thread, which a forked child lacks (Python
-    3.12 and later warn about fork in a process with threads).  A sweep
-    runs its checks and eigensolves before it hands over its Table: the
-    surfaces' range functions then only measure (discord_profile_ranges)
-    or evaluate closed forms, and quasi-curves' only minimize
-    (discord_min_ranges: coarse scan, golden section, final evaluation).
+    replaces path.  Each process computes its range in blocks of as many
+    whole lines as fit in WRITE_BLOCK_ROWS rows, or of one longer line, so
+    no line is computed twice.  The bytes are the same for any W and
+    wherever the cuts fall.  Forking is safe here: only this writer forks,
+    and a worker only computes with numpy ufuncs and math, formats and
+    writes, calling no BLAS or LAPACK routine, so it never needs numpy's
+    BLAS thread, which a forked child lacks (Python 3.12 and later warn
+    about fork in a process with threads).  A sweep runs its checks and
+    eigensolves before it hands over its Table: the surfaces' values then
+    only measure (discord_profile_ranges) or evaluate closed forms, and
+    quasi-curves' only minimize (discord_min_ranges: coarse scan, golden
+    section, final evaluation).
 
     A non-finite axis entry raises ValueError naming its column and the
     first row that uses it before anything is written.  A non-finite
@@ -329,7 +319,7 @@ def write_rows(path, fmt, columns, rows):
     or an interrupt stops and reaps every worker, leaves an existing file
     at path untouched and removes the part files and the temporary file.
     """
-    n, axes = len(rows), rows.axes
+    n, axes, line = len(rows), rows.axes, rows.line
     if n:
         strides = [math.prod(map(len, axes[i + 1 :])) for i in range(len(axes))]
         for column, x, stride in zip(columns, axes, strides):
@@ -346,11 +336,11 @@ def write_rows(path, fmt, columns, rows):
     *outer, last = ([text + "," for text in _format_column(axis, spec, key)] for axis, key in zip(axes, keys))
     prefixes = list(map("".join, itertools.product(*outer)))
     layout = prefixes, last, spec, columns[len(axes) :], keys[len(axes) :], between, end, lead
-    count = max(1, min(_cpu_count(), n // MIN_RANGE_ROWS)) if hasattr(os, "fork") else 1
-    size, extra = divmod(n, count)
-    # the last ranges take the extra rows: the first one's process also appends the parts
-    cuts = [k * size + max(0, k + extra - count) for k in range(count + 1)]
-    ranges = [range(lo, hi, WRITE_BLOCK_ROWS) for lo, hi in zip(cuts, cuts[1:])]
+    count = max(1, min(_cpu_count(), n // MIN_RANGE_ROWS, n // line)) if hasattr(os, "fork") else 1
+    size, extra = divmod(n // line, count)
+    # the last ranges take the extra lines: the first one's process also appends the parts
+    cuts = [(k * size + max(0, k + extra - count)) * line for k in range(count + 1)]
+    ranges = [range(lo, hi, line * max(1, WRITE_BLOCK_ROWS // line)) for lo, hi in zip(cuts, cuts[1:])]
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     parts = [f"{tmp}.{k}" for k in range(1, count)]

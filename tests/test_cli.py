@@ -384,6 +384,11 @@ def fail_in_range(where, error):
     return write_blocks
 
 
+def holds_row_14(starts):
+    """Whether the range of blocks starts holds row 14; its last block then does."""
+    return starts.start <= 14 < starts.stop
+
+
 def assert_no_worker_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -443,7 +448,8 @@ def test_interrupt_stops_the_workers_and_keeps_existing_output(tmp_path, monkeyp
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_failure_in_the_last_range_exits_3_with_the_same_line(tmp_path, capsys, monkeypatch, cpus):
-    # the last of 15 one-row blocks fails, in this process (1 CPU) or in a worker (2)
+    # the block that holds row 14, the last of 3 blocks of one 5-row theta
+    # line each, fails, in this process (1 CPU) or in a worker (2)
     out = tmp_path / "z.csv"
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
@@ -452,7 +458,7 @@ def test_failure_in_the_last_range_exits_3_with_the_same_line(tmp_path, capsys, 
     def no_space(fh):
         return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), fh.name)
 
-    monkeypatch.setattr(cli, "_write_blocks", fail_in_range(lambda starts: 14 in starts, no_space))
+    monkeypatch.setattr(cli, "_write_blocks", fail_in_range(holds_row_14, no_space))
     assert main(["zurek-surface", "--a-steps", "3", "--theta-steps", "5", "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
     assert list(tmp_path.iterdir()) == []
@@ -507,12 +513,13 @@ def test_grid_out_of_memory_in_the_rows_exits_2(tmp_path, capsys, monkeypatch, a
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_grid_out_of_memory_in_the_writer_exits_2(tmp_path, capsys, monkeypatch, fmt, cpus):
-    # the last of 15 one-row blocks cannot allocate, in this process (1 CPU)
-    # or in a worker (2), whose MemoryError comes back through its pipe
+    # the block that holds row 14, the last of 3 blocks of one 5-row theta
+    # line each, cannot allocate, in this process (1 CPU) or in a worker (2),
+    # whose MemoryError comes back through its pipe
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "_write_blocks", fail_in_range(lambda starts: 14 in starts, lambda fh: MemoryError()))
+    monkeypatch.setattr(cli, "_write_blocks", fail_in_range(holds_row_14, lambda fh: MemoryError()))
     out = tmp_path / "z.out"
     assert main(["zurek-surface", "--a-steps", "3", "--theta-steps", "5", "--format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: the zurek-surface grid of 15 rows does not fit in memory\n"
@@ -933,21 +940,56 @@ def test_each_block_is_one_values_call(tmp_path, monkeypatch):
     assert calls == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 42), (42, 49), (49, 50)]
 
 
+def test_each_surface_line_is_computed_once(tmp_path, monkeypatch):
+    # one CPU, text slices of 2 rows: each theta line of 5 rows is computed by
+    # one values call and written in 3 slices
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 2)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    a_values, zurek_discord = [], cli.zurek_discord
+
+    def recorded_zurek(a, theta):
+        a_values.append(len(a))
+        return zurek_discord(a, theta)
+
+    monkeypatch.setattr(cli, "zurek_discord", recorded_zurek)
+    assert main(["zurek-surface", "--a-steps", "3", "--theta-steps", "5", "--out", str(tmp_path / "z.csv")]) == 0
+    assert sum(a_values) == 3
+
+    # the state ranges measured tile the 2 x 3 states of the stack, none twice
+    ranges, discord_profile_ranges = [], cli.discord_profile_ranges
+
+    def recorded_profile_ranges(rhos, thetas):
+        profile = discord_profile_ranges(rhos, thetas)
+
+        def values(lo, hi):
+            ranges.append((lo, hi))
+            return profile(lo, hi)
+
+        return values
+
+    monkeypatch.setattr(cli, "discord_profile_ranges", recorded_profile_ranges)
+    argv = ["quasi-surface", "--alpha2", "1", "--alpha2", "2", "--a-steps", "3", "--theta-steps", "5"]
+    assert main([*argv, "--out", str(tmp_path / "qs.csv")]) == 0
+    assert [k for lo, hi in ranges for k in range(lo, hi)] == list(range(2 * 3))
+
+
 SPLIT_SURFACES = [
-    # 5 x 5 states of 7 thetas in blocks of 4 rows: the ranges of 2 and 3 CPUs
-    # begin at rows 87, and 58 and 116, inside a state's theta row; [58, 116)
-    # reaches from the second mean photon number across the third into the fourth
+    # 5 x 5 states of 7 thetas in text slices of 4 rows: each block is one
+    # theta line, written in 2 slices, the first ending inside the line; the
+    # ranges of 2 and 3 CPUs begin at rows 84, and 56 and 112, between lines;
+    # [56, 112) reaches from the second mean photon number across the third into the fourth
     (["quasi-surface", *(f"--alpha2={mp}" for mp in (0.5, 1, 2, 3, 5)), "--a-steps", "5", "--theta-steps", "7"], 4),
-    # 5 rows of 7 thetas in blocks of 3 rows: ranges begin at rows 17, and 11 and 23
+    # 5 lines of 7 thetas in text slices of 3 rows: ranges begin at rows 14, and 7 and 21
     (["zurek-surface", "--a-steps", "5", "--theta-steps", "7"], 3),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv, block_rows", SPLIT_SURFACES)
-def test_surface_ranges_cut_inside_a_theta_row_write_the_same_bytes(tmp_path, monkeypatch, fmt, argv, block_rows):
-    # each process computes the rows of its own range; the reference is the
-    # same command on one CPU, which computes every row in this process
+def test_surface_text_slices_cut_inside_a_theta_row_write_the_same_bytes(tmp_path, monkeypatch, fmt, argv, block_rows):
+    # each process computes the lines of its own range, one line per block,
+    # and writes each in slices; the reference is the same command on one
+    # CPU, which computes every row in this process in blocks of whole lines
     def written(cpus):
         out = tmp_path / f"{cpus}.{fmt}"
         with monkeypatch.context() as mp:
