@@ -21,7 +21,7 @@ import os
 import pickle
 import shutil
 import sys
-from dataclasses import dataclass
+import types
 
 import numpy as np
 
@@ -57,16 +57,6 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    a_grid: np.ndarray
-    theta_grid: np.ndarray
-    mean_photon_list: tuple
-    family: StateFamily
-    output_path: str
-    format: str
-
-
 # ---------------------------------------------------------------------------
 # row generators (one per subcommand); each returns the column names and
 # the rows as a Table
@@ -74,10 +64,10 @@ class SweepConfig:
 class Table:
     """A sweep's rows: the 1-D grid axes in column order, the last fastest, then values(lo, hi) and line.
 
-    values(lo, hi) gives one flat array per other column, for rows lo to
-    hi - 1.  line is the number of rows values computes together: a
-    surface's theta line, or 1, the default.  The writer calls values on
-    whole lines only, each line once, in the process that writes it.
+    line is the number of rows values computes together: a surface's theta
+    line, or 1, the default.  values(lo, hi) gives one flat array per other
+    column, for the rows of lines lo to hi - 1.  The writer computes each
+    line once, in the process that writes it.
     """
 
     __slots__ = ("axes", "values", "line")
@@ -100,9 +90,7 @@ def _sliced(*columns):
 def zurek_surface_rows(cfg):
     columns = ["a", "theta", "D"]
     a, thetas = cfg.a_grid, cfg.theta_grid
-    w = len(thetas)
-    # a line is one a: the writer asks for whole lines, a's lo // w to hi // w - 1
-    return columns, Table([a, thetas], lambda lo, hi: [zurek_discord(a[lo // w : hi // w, None], thetas).ravel()], w)
+    return columns, Table([a, thetas], lambda lo, hi: [zurek_discord(a[lo:hi, None], thetas).ravel()], len(thetas))
 
 
 def _quasi_stack(cfg):
@@ -114,12 +102,10 @@ def _quasi_stack(cfg):
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
     params, rhos = _quasi_stack(cfg)
-    a_grid, thetas, size, w = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid), len(cfg.theta_grid)
-    # every check and eigensolve of the stack runs here, before the writer
-    # forks; a block then only measures its states and takes their closed form
+    a_grid, thetas, size = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid)
     profile = discord_profile_ranges(rhos, thetas)
 
-    def states(first, last):
+    def values(first, last):
         piped = profile(first, last).ravel()
         # the closed form at the states' a values, per mean photon number they reach
         closed = np.concatenate([
@@ -131,9 +117,7 @@ def quasi_surface_rows(cfg):
         closed = closed.ravel()
         return [closed, piped, np.abs(closed - piped), flagged.ravel()]
 
-    # a line is one state: the writer asks for whole lines, states lo // w to hi // w - 1
-    grid = [cfg.mean_photon_list, a_grid, thetas]
-    return columns, Table(grid, lambda lo, hi: states(lo // w, hi // w), w)
+    return columns, Table([cfg.mean_photon_list, a_grid, thetas], values, len(thetas))
 
 
 def werner_curves_rows(cfg):
@@ -148,8 +132,6 @@ def werner_curves_rows(cfg):
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
     params, rhos = _quasi_stack(cfg)
-    # every check, eigensolve and phase probe of the stack runs here, before
-    # the writer forks; each block of rows is then one lockstep minimization
     minimize = discord_min_ranges(rhos)
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
 
@@ -197,11 +179,10 @@ def _cpu_count():
 def _write_blocks(fh, rows, starts, layout):
     """Compute the rows starts.start to starts.stop - 1 in blocks of starts.step rows and write them to fh.
 
-    Each block's values come from one rows.values call, so a process holds
-    one block's compute at a time; a block is then formatted and written
-    in slices of at most WRITE_BLOCK_ROWS rows, which bounds its text.  A
-    non-finite value raises ValueError naming, in the first block that
-    holds one, the first column that does and its first row there.  layout
+    Each block's values come from one rows.values call, and are formatted
+    and written in slices of at most WRITE_BLOCK_ROWS rows.  A non-finite
+    value raises ValueError naming, in the first block that holds one, the
+    first column that does and its first row there.  layout
     holds the text of each outer grid point (one prefix each) and of each
     last-axis value, every axis cell with its key and trailing comma; then
     the float format spec, and the name and the key of each other column;
@@ -212,7 +193,7 @@ def _write_blocks(fh, rows, starts, layout):
     width = len(last)
     for block in starts:
         block_end = min(block + starts.step, starts.stop)
-        values = rows.values(block, block_end)
+        values = rows.values(block // rows.line, block_end // rows.line)
         for name, x in zip(names, values):
             finite = np.isfinite(x)
             if not finite.all():
@@ -283,39 +264,22 @@ def _stop_writers(workers):
 def write_rows(path, fmt, columns, rows):
     """Write rows, a Table, to path atomically.
 
-    Each axis value is formatted once per file and each other distinct
-    value once per text slice (_write_blocks).  CSV and JSON share this
-    layout and differ only in their text: JSON writes each float as
-    float.__repr__ does, which is json's text for a finite float, and each
-    cell after its column's key.
-
     The rows are cut between lines (rows.line rows each) into W contiguous
     ranges, W the number of CPUs this process may run on but at most
-    n // MIN_RANGE_ROWS and n // rows.line, and at least 1 (1 where
-    os.fork does not exist); no flag, config key or environment variable
-    sets it.  This process writes the header and the first range to a
-    temporary file in the target directory.  Each other range goes to a
-    forked worker, which writes it to a part file beside the temporary
-    file; the parts are appended in order, and the temporary file then
-    replaces path.  Each process computes its range in blocks of as many
-    whole lines as fit in WRITE_BLOCK_ROWS rows, or of one longer line, so
-    no line is computed twice.  The bytes are the same for any W and
-    wherever the cuts fall.  Forking is safe here: only this writer forks,
-    and a worker only computes with numpy ufuncs and math, formats and
-    writes, calling no BLAS or LAPACK routine, so it never needs numpy's
-    BLAS thread, which a forked child lacks (Python 3.12 and later warn
-    about fork in a process with threads).  A sweep runs its checks and
-    eigensolves before it hands over its Table: the surfaces' values then
-    only measure (discord_profile_ranges) or evaluate closed forms, and
-    quasi-curves' only minimize (discord_min_ranges: coarse scan, golden
-    section, final evaluation).
+    n // MIN_RANGE_ROWS and n // rows.line, and at least 1.  This process
+    writes the header and the first range to a temporary file in the
+    target directory, and forked workers the other ranges to part files
+    beside it; the parts are appended in order, and the temporary file
+    then replaces path.  The bytes are the same for any W.  Forking is
+    safe because only this writer forks and a worker calls no BLAS or
+    LAPACK routine (the sweeps' _ranges functions run those first), so it
+    never needs numpy's BLAS thread, which a forked child lacks.
 
     A non-finite axis entry raises ValueError naming its column and the
     first row that uses it before anything is written.  A non-finite
-    computed value raises ValueError as soon as its block is computed
-    (_write_blocks names which one); the ranges are joined in order, so
-    the first range that holds one is the one reported, whichever process
-    computed it.  A write or computation that fails, here or in a worker,
+    computed value raises ValueError as soon as its block is computed, for
+    the first range that holds one, whichever process computed it
+    (_write_blocks names which value).  A write or computation that fails, here or in a worker,
     or an interrupt stops and reaps every worker, leaves an existing file
     at path untouched and removes the part files and the temporary file.
     """
@@ -450,8 +414,10 @@ def build_config(args):
         raise ConfigError(f"{a_steps} a values and {theta_steps} theta values do not fit in memory") from None
     if out is None:
         out = args.command.replace("-", "_") + "." + fmt
+    if not os.path.basename(out):
+        raise ConfigError(f"output path must end in a file name, got {out!r}")
 
-    return SweepConfig(
+    return types.SimpleNamespace(
         a_grid=a_grid,
         theta_grid=theta_grid,
         mean_photon_list=tuple(sorted(float(v) for v in alpha2)),

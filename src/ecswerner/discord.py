@@ -1,45 +1,12 @@
 """Quantum discord of two-qubit states under projective measurement of Y.
 
-The generic pipeline computes D = I - J from entropies of the joint,
-reduced, and post-measurement conditional states.  One batched kernel
-measures Y on a stack of states, each at its own array of (theta, phi)
-angles; discord_at, discord_profile, discord_min and conditional_states
-are thin wrappers over it.  Closed forms are provided for the Werner and
-quasi-Werner families and for the two-level einselection benchmark state,
-and a 1-D minimizer finds the optimal measurement angle.  The closed forms
-and zurek_density take a scalar or an array of a.
-
-discord_profile and discord_min take one 4x4 state or an (S, 4, 4) stack.
-A stack goes through one stacked path: it is validated at once (a failing
-state k is named "state k: " in the message), the entropies of its joint
-and reduced states come from one eigensolve each, and its values equal
-those of one call per state bit for bit.  discord_profile_ranges and
-discord_min_ranges split that path in two: the checks and eigensolves (and
-discord_min's phase probe) of the whole stack, then the measurement or the
-minimization of any range of its states.  discord_min minimizes a range in
-lockstep: each kernel call covers many states at once, and as every state
-starts from the same bracket width and stops at the same tolerance, the
-number of golden-section steps does not grow with the range.  The
-many-angle calls, a profile and discord_min's probe and scan, take at most
-MIN_SLICE_STATES states each, which caps the kernel's temporaries.
-
-discord_min probes only the states that an exact structural test does
-not clear: an X state with one coherence pair cannot depend on the
-measurement phase, and every state this library builds is one.  Its
-coarse scan estimates each grid discord with np.log2, whose error has a
-known bound (_SCREEN_TOL), and runs the exact math.log2 only near each
-state's lowest estimate, which finds the exact scan's minimum bit for
-bit.
-
-The kernel multiplies real arrays when every phase is zero and every state
-is real, which covers every sweep and every minimizer step on the states
-this library builds; its blocks then have the same bits as the complex
-einsum it otherwise runs (a phase probe, phi != 0, or a complex state).
-The real contraction builds each block entry on its own, from one entry
-of rho per state times contiguous arrays of projector components, with
-the einsum's products and sum order.  A term whose entry of rho is 0 in
-every state of the stack is the constant 0.0 in its place in that sum, so
-an X state forms 6 products, not 16.
+D = I - J from the entropies of the joint, reduced and post-measurement
+conditional states.  One batched kernel (_spectra) measures Y on a stack of
+states at arrays of (theta, phi) angles; discord_at, discord_profile,
+discord_min and conditional_states wrap it, and the _ranges forms split a
+stack's work into ranges of its states.  Closed forms cover the Werner and
+quasi-Werner families and the einselection benchmark state; they and
+zurek_density take a scalar or an array of a.
 """
 
 import math
@@ -70,10 +37,9 @@ PHI_SENSITIVITY_TOL = 1e-8
 
 THETA_COARSE_STEPS = 181
 THETA_REFINE_TOL = 1e-8
-# discord_min's phase probe and coarse scan measure at most this many
-# states per kernel call, a cap on the kernel's temporaries: a whole
-# 101-state sweep column at once raises the peak memory of quasi-curves by
-# about a fifth
+# the most states a many-angle kernel call measures (_slices), a cap on its
+# temporaries: a whole 101-state sweep column at once raises the peak
+# memory of quasi-curves by about a fifth
 MIN_SLICE_STATES = 16
 # Bound on |estimate - exact| of a coarse-scan discord.  The estimate
 # (_xlogx_estimate) and the exact value (_xlogx) run the same operations on
@@ -82,13 +48,7 @@ MIN_SLICE_STATES = 16
 # most 1 / (e ln 2) < 0.54 in size, moves by at most 3 ulp of 0.54 once
 # rounded; the eight sums, products and differences after it, of
 # magnitudes below 4, add at most 1 ulp of 4 (8.9e-16) each: the whole is
-# below 1e-14.  On the coarse scans of the four families' default
-# quasi-curves stacks (3,232 states x 181 angles), the two logs differed
-# on 0.23% of the 2.3M arguments, by 1 ulp each, and the largest
-# |estimate - exact| was 2.2e-16.  A grid point whose estimate is more
-# than 2 * _SCREEN_TOL above its row's lowest estimate is therefore
-# strictly above the row's exact minimum, and the exact values of the
-# other points give the argmin.
+# below 1e-14.
 _SCREEN_TOL = 1e-12
 # the off-diagonal, off-anti-diagonal entries of a 4x4 matrix
 _OFF_X = (np.eye(4) + np.eye(4)[::-1]) == 0
@@ -157,10 +117,8 @@ def _real_blocks(rhos, vecs):
 
     The real part of the complex einsum in _spectra, computed in einsum's
     own order: each term is (rho[s, a, b, c, d] * v_b) * v_d, and the four
-    terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).  Each block entry
-    (a, c) is built on its own from contiguous (S|1, n, 2) components v_b,
-    one scalar of rho per state and term.  A -0 entry of rho counts as +0,
-    as in the einsum's complex products.
+    terms are summed as (b0d0 + b0d1) + (b1d0 + b1d1).  A -0 entry of rho
+    counts as +0, as in the einsum's complex products.
 
     A term whose entry of rho is 0 in every state is the constant 0.0 in
     its place in the sum, so a stack of X states with one coherence pair
@@ -197,13 +155,6 @@ def _spectra(rhos, thetas, phis):
     normalized block, from the closed-form spectrum of a Hermitian 2x2
     matrix, each of shape (S, n, 2).  Every value depends only on its own
     state and angle, not on what else the call measures.
-
-    When every phi is zero and every state is real (all states this
-    library builds, at every angle of a sweep or of the minimizer), the
-    projectors are real and the blocks come from _real_blocks as real
-    arrays, with the same bits as the real part of the complex einsum,
-    whose imaginary part is then zero.  Any other input goes through the
-    complex einsum.
     """
     vecs = _projectors(np.atleast_2d(thetas), phis)
     if not np.any(phis) and not rhos.imag.any():
@@ -267,30 +218,29 @@ def conditional_states(rho, basis):
 
 
 def _discord_parts(rhos):
-    """S(rho_X) and the mutual information S(rho_X) + S(rho_Y) - S(rho_XY) of each state, as two (S,) arrays.
+    """S(rho_X) and the mutual information S(rho_X) + S(rho_Y) - S(rho_XY) of each state, as an (S, 2) array.
 
     rhos is a validated stack; each entropy is one eigensolve of the whole
     stack.  The partial traces skip their checks: the entropy checks the
     reduced states again.
     """
     s_x = von_neumann_entropy(_partial_trace(rhos, "X"))
-    return s_x, s_x + von_neumann_entropy(_partial_trace(rhos, "Y")) - von_neumann_entropy(rhos)
+    return np.stack([s_x, s_x + von_neumann_entropy(_partial_trace(rhos, "Y")) - von_neumann_entropy(rhos)], axis=1)
 
 
 def mutual_information(rho):
     """Quantum mutual information S(rho_X) + S(rho_Y) - S(rho_XY) in bits."""
-    return float(_discord_parts(require_density_matrix(rho, dim=4)[None])[1][0])
+    return float(_discord_parts(require_density_matrix(rho, dim=4)[None])[0, 1])
 
 
 def _discord(parts, cond):
-    """Discord I - J from the parts of each state and its measured conditional entropies."""
-    s_x, mutual = parts
-    return mutual[:, None] - (s_x[:, None] - cond)
+    """Discord I - J from the parts of each state and its measured conditional entropies, shape (S, n)."""
+    return parts[:, 1:] - (parts[:, :1] - cond)
 
 
 def _result(parts, k, theta, probs, cond):
     """DiscordResult of state k measured at theta, with its P_j and conditional entropy."""
-    s_x, mutual = (float(v[k]) for v in parts)
+    s_x, mutual = parts[k].tolist()
     classical = s_x - cond
     return DiscordResult(
         value=mutual - classical,
@@ -313,15 +263,17 @@ def discord_profile(rho, thetas, phi=0.0):
 
     rho is one 4x4 state, giving shape (n,) for n angles, or an (S, 4, 4)
     stack, giving (S, n).  Same values as discord_at per state and angle,
-    bit for bit.  The stack is validated at once (a failing state k is
-    named "state k: " in the message), its entropies come from one
-    eigensolve per subsystem, and the kernel measures at most
-    MIN_SLICE_STATES states per call.  It is discord_profile_ranges over
-    every state.
+    bit for bit.  A failing state k of a stack is named "state k: " in the
+    message.
     """
-    stacked = np.ndim(rho) == 3
-    values = discord_profile_ranges(rho, thetas, phi)(0, len(rho) if stacked else 1)
-    return values if stacked else values[0]
+    return _of_every_state(discord_profile_ranges(rho, thetas, phi), rho)
+
+
+def _of_every_state(ranged, rho):
+    """ranged(lo, hi) over every state of rho: the whole result of a stack, or the one entry of a 4x4 state."""
+    if np.ndim(rho) == 3:
+        return ranged(0, len(rho))
+    return ranged(0, 1)[0]
 
 
 def discord_profile_ranges(rho, thetas, phi=0.0):
@@ -336,11 +288,11 @@ def discord_profile_ranges(rho, thetas, phi=0.0):
     """
     rhos, _ = _density_states(rho)
     parts, thetas = _discord_parts(rhos), np.reshape(thetas, -1)
-    return lambda lo, hi: _sliced_discord(rhos[lo:hi], tuple(v[lo:hi] for v in parts), thetas, phi)
+    return lambda lo, hi: _sliced_discord(rhos[lo:hi], parts[lo:hi], thetas, phi)
 
 
 def _slices(n):
-    """Slices of at most MIN_SLICE_STATES states covering a stack of n, a cap on the many-angle kernel calls' temporaries."""
+    """Slices of at most MIN_SLICE_STATES states covering a stack of n."""
     return (slice(start, start + MIN_SLICE_STATES) for start in range(0, n, MIN_SLICE_STATES))
 
 
@@ -348,7 +300,7 @@ def _sliced_discord(rhos, parts, thetas, phis):
     """Discord of every state at the angles shared by all, shape (S, n), measured in slices."""
     values = np.empty((len(rhos), len(thetas)))
     for part in _slices(len(rhos)):
-        values[part] = _discord(tuple(v[part] for v in parts), _measure(rhos[part], thetas, phis)[2])
+        values[part] = _discord(parts[part], _measure(rhos[part], thetas, phis)[2])
     return values
 
 
@@ -371,26 +323,22 @@ def _phase_free(rhos):
 def _coarse_minimum(rhos, parts, grid):
     """Each state's first grid argmin k and its discord there, as (S,) arrays, equal to those of the exact scan.
 
-    Per slice of states, the kernel's spectra are computed once and every
-    grid discord is estimated with _xlogx_estimate.  The exact _xlogx runs
-    only on the candidates: the grid points whose estimate lies within
-    2 * _SCREEN_TOL of their row's lowest estimate, or every point of a
-    row that holds a NaN.  The others lie strictly above the row's exact
-    minimum, so argmin over the exact candidates, with +inf elsewhere,
-    finds the exact scan's k and value bit for bit.
+    Every grid discord is estimated with _xlogx_estimate, and the exact
+    _xlogx runs only on the candidates: the points whose estimate lies
+    within 2 * _SCREEN_TOL of their row's lowest, or every point of a row
+    that holds a NaN.  The others lie strictly above the row's exact
+    minimum, so argmin over the exact candidates finds the exact scan's k.
     """
     k, k_value = np.empty(len(rhos), dtype=np.intp), np.empty(len(rhos))
     for part in _slices(len(rhos)):
-        s_x, mutual = (v[part] for v in parts)
         spectra = _spectra(rhos[part], grid, 0.0)[1]
-        estimate = _discord((s_x, mutual), _entropy_sum(spectra, _xlogx_estimate))
+        estimate = _discord(parts[part], _entropy_sum(spectra, _xlogx_estimate))
         # NaN compares False: a NaN row minimum keeps its whole row
         candidate = np.flatnonzero(~(estimate > estimate.min(axis=1, keepdims=True) + 2.0 * _SCREEN_TOL))
-        rows = candidate // len(grid)
         # take on the flattened (state, angle) axis: a boolean mask costs several times more
         cond = _entropy_sum([np.take(v.reshape(-1, 2), candidate, axis=0) for v in spectra], _xlogx)
         values = np.full(estimate.shape, np.inf)
-        np.put(values, candidate, mutual[rows] - (s_x[rows] - cond))
+        np.put(values, candidate, _discord(parts[part][candidate // len(grid)], cond[:, None]))
         k[part] = np.argmin(values, axis=1)
         k_value[part] = values[np.arange(len(values)), k[part]]
     return k, k_value
@@ -401,26 +349,13 @@ def discord_min(rho):
 
     rho is one 4x4 state, giving one DiscordResult, or an (S, 4, 4) stack,
     giving a list of S results equal field for field to one call per state.
-    The stack is validated first, as in discord_profile.  The phase angle
-    is fixed to 0 once each input is known to be phase insensitive: by
-    structure (_phase_free: an X state with rho_14 = 0 or rho_23 = 0,
-    entries compared exactly), or else by a runtime probe that raises
-    NumericalIntegrityError if the discord moves with the phase (for a
-    stack, the error's index and message name the offending state's
-    position).  The angle theta is then minimized by a coarse scan of
-    [0, pi] followed by golden-section refinement.  The scan
-    (_coarse_minimum) estimates every grid discord with np.log2 and takes
-    the exact value only within 2 * _SCREEN_TOL of each state's lowest
-    estimate, so its grid minimum is the exact scan's bit for bit.  A
-    stack is minimized in lockstep: each golden-section step and the final
-    evaluation is one kernel call for all its states, and the phase probe
-    and the coarse scan, whose temporaries grow with states x angles, are
-    one call per slice of at most MIN_SLICE_STATES states.  It is
-    discord_min_ranges over every state.
+    The phase angle is fixed to 0 once each state is known to be phase
+    insensitive, by structure (_phase_free) or else by a runtime probe,
+    which raises NumericalIntegrityError naming the state if the discord
+    moves with the phase.  theta is then minimized by a coarse scan of
+    [0, pi] and a golden-section refinement.
     """
-    stacked = np.ndim(rho) == 3
-    results = discord_min_ranges(rho)(0, len(rho) if stacked else 1)
-    return results if stacked else results[0]
+    return _of_every_state(discord_min_ranges(rho), rho)
 
 
 def discord_min_ranges(rho):
@@ -429,10 +364,9 @@ def discord_min_ranges(rho):
     rho is one 4x4 state or an (S, 4, 4) stack.  This call validates the
     whole stack, runs its eigensolves and the phase probe, so every error a
     check, an entropy or the probe can raise comes from here, naming the
-    state's position in the whole stack.  minimize runs the coarse scan,
-    the golden section and the final evaluation of its states in lockstep:
-    numpy ufuncs and math.log2, no BLAS or LAPACK routine, and each state's
-    result is the same in any range.
+    state's position in the whole stack.  minimize only computes, with
+    numpy ufuncs and math.log2 and no BLAS or LAPACK routine, and each
+    state's result is the same in any range.
     """
     rhos, stacked = _density_states(rho)
     parts = _discord_parts(rhos)
@@ -442,7 +376,7 @@ def discord_min_ranges(rho):
     probed = np.flatnonzero(~_phase_free(rhos))
     thetas = np.tile(PHI_PROBE_THETAS, len(PHI_PROBE))
     phis = np.repeat(PHI_PROBE, len(PHI_PROBE_THETAS))
-    probe = _sliced_discord(rhos[probed], tuple(v[probed] for v in parts), thetas, phis)
+    probe = _sliced_discord(rhos[probed], parts[probed], thetas, phis)
     probe = probe.reshape(len(probed), len(PHI_PROBE), len(PHI_PROBE_THETAS))
     worst = np.max(np.abs(probe[:, 1:] - probe[:, :1]), axis=(1, 2))
     sensitive = np.flatnonzero(worst > PHI_SENSITIVITY_TOL)
@@ -457,7 +391,7 @@ def discord_min_ranges(rho):
         )
 
     grid = np.linspace(0.0, math.pi, THETA_COARSE_STEPS)
-    return lambda lo, hi: _minimize(rhos[lo:hi], tuple(v[lo:hi] for v in parts), grid)
+    return lambda lo, hi: _minimize(rhos[lo:hi], parts[lo:hi], grid)
 
 
 def _minimize(rhos, parts, grid):
@@ -479,7 +413,7 @@ def _minimize(rhos, parts, grid):
         nc = np.where(left, nb - _INVPHI * (nb - na), ld)
         nd = np.where(left, lc, na + _INVPHI * (nb - na))
         cond = _measure(rhos[live], np.where(left, nc, nd)[:, None], 0.0)[2]
-        f = _discord(tuple(v[live] for v in parts), cond)[:, 0]
+        f = _discord(parts[live], cond)[:, 0]
         a[live], b[live], c[live], d[live] = na, nb, nc, nd
         fc[live], fd[live] = np.where(left, f, fd[live]), np.where(left, fc[live], f)
         live = live[nb - na > THETA_REFINE_TOL]

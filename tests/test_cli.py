@@ -4,6 +4,8 @@ import json
 import errno
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -201,12 +203,21 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the verify report on stdout, with every deviation it prints
+VERIFY_SHA256 = "00da555e2dfbe982c9230a51fd2ba53dc2023b31c24b32ac6fda6f99e8a4b857"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_output_is_byte_identical_to_golden(tmp_path, name):
     argv, digest = GOLDEN_SHA256[name]
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_report_is_byte_identical_to_golden(capsys):
+    assert main(["verify"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == VERIFY_SHA256
 
 
 def test_json_mirrors_csv(tmp_path):
@@ -330,6 +341,29 @@ def test_non_finite_mean_photon_exits_2(tmp_path, capsys, value, source):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source, out", [("flag", ""), ("flag", "outdir/"), ("config", "")])
+def test_output_path_without_a_file_name_exits_2_before_any_row(tmp_path, capsys, monkeypatch, source, out):
+    # "" names the working directory and "outdir/" a directory: either is
+    # rejected with the config, before a row is computed or a temporary
+    # file is made beside it or in its parent
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+
+    def no_rows(cfg):
+        raise AssertionError("rows computed")
+
+    monkeypatch.setattr(cli, "werner_curves_rows", no_rows)
+    argv = ["werner-curves", "--a-steps", "3"]
+    if source == "flag":
+        argv += ["--out", out]
+    else:
+        (tmp_path / "sweep.cfg").write_text(f"out = {out}\n", encoding="utf-8")
+        argv += ["--config", "sweep.cfg"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: output path must end in a file name, got {out!r}\n"
+    assert not [*tmp_path.glob(".*.tmp"), *tmp_path.parent.glob(".*.tmp")]
 
 
 def test_unwritable_path_exits_3(tmp_path, capsys):
@@ -1081,6 +1115,17 @@ def test_default_curves_fork_only_for_the_minimization(tmp_path, monkeypatch, ar
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert forks == [(404, 808)] * workers
     assert_no_worker_left()
+
+
+def test_a_sweep_imports_neither_verify_nor_signal():
+    # run_verify and _stop_writers import them where they are needed, so
+    # starting a sweep compiles and imports neither
+    code = "import sys, ecswerner.cli; print(sorted({'ecswerner.verify', 'signal'} & set(sys.modules)))"
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_verify_passes(capsys):
