@@ -25,7 +25,7 @@ import types
 
 import numpy as np
 
-from .catstates import ALPHA2_MIN, StateFamily, cat_params
+from .catstates import StateFamily, cat_params
 from .discord import (
     discord_min_ranges,
     discord_profile_ranges,
@@ -94,16 +94,14 @@ def zurek_surface_rows(cfg):
 
 
 def _quasi_stack(cfg):
-    """The cat parameters of each mean photon number and one stack of every (|alpha|^2, a) state, in row order."""
-    params = [cat_params(mp) for mp in cfg.mean_photon_list]
-    return params, np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in params])
+    """One stack of every (|alpha|^2, a) state, in row order."""
+    return np.concatenate([werner_stack(cfg.family, cfg.a_grid, p) for p in cfg.params])
 
 
 def quasi_surface_rows(cfg):
     columns = ["mean_photon", "a", "theta", "D_closed", "D_pipeline", "abs_diff", "differs_from_theta0"]
-    params, rhos = _quasi_stack(cfg)
-    a_grid, thetas, size = cfg.a_grid, cfg.theta_grid, len(cfg.a_grid)
-    profile = discord_profile_ranges(rhos, thetas)
+    params, a_grid, thetas, size = cfg.params, cfg.a_grid, cfg.theta_grid, len(cfg.a_grid)
+    profile = discord_profile_ranges(_quasi_stack(cfg), thetas)
 
     def values(first, last):
         piped = profile(first, last).ravel()
@@ -131,9 +129,8 @@ def werner_curves_rows(cfg):
 
 def quasi_curves_rows(cfg):
     columns = ["mean_photon", "a", "E", "delta", "delta_minus_E"]
-    params, rhos = _quasi_stack(cfg)
-    minimize = discord_min_ranges(rhos)
-    e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in params])
+    minimize = discord_min_ranges(_quasi_stack(cfg))
+    e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in cfg.params])
 
     def values(lo, hi):
         delta = np.array([res.value for res in minimize(lo, hi)])
@@ -401,11 +398,10 @@ def build_config(args):
         raise ConfigError("step counts must be at least 1")
     if not alpha2:
         raise ConfigError("alpha2 list must not be empty")
-    for mp in alpha2:
-        if not math.isfinite(mp):
-            raise ConfigError(f"mean photon number must be finite, got {mp!r}")
-        if mp < ALPHA2_MIN:
-            raise ConfigError(f"mean photon number {mp!r} below minimum {ALPHA2_MIN:g}")
+    try:
+        params = sorted(map(cat_params, alpha2), key=lambda p: p.mean_photon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     try:
         a_grid = np.linspace(a_min, a_max, a_steps)
@@ -414,13 +410,14 @@ def build_config(args):
         raise ConfigError(f"{a_steps} a values and {theta_steps} theta values do not fit in memory") from None
     if out is None:
         out = args.command.replace("-", "_") + "." + fmt
-    if not os.path.basename(out):
+    if not os.path.basename(out) or os.path.isdir(out):
         raise ConfigError(f"output path must end in a file name, got {out!r}")
 
     return types.SimpleNamespace(
         a_grid=a_grid,
         theta_grid=theta_grid,
-        mean_photon_list=tuple(sorted(float(v) for v in alpha2)),
+        mean_photon_list=tuple(p.mean_photon for p in params),
+        params=params,
         family=family,
         output_path=out,
         format=fmt,
@@ -551,9 +548,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        return run_verify()
-    return run_sweep(args)
+    try:
+        return run_verify() if args.command == "verify" else run_sweep(args)
+    except KeyboardInterrupt:
+        # write_rows has already stopped its workers and removed its files
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

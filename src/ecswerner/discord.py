@@ -20,12 +20,12 @@ from .qmatrix import (
     XLOGX_FLOOR,
     NumericalIntegrityError,
     _density_states,
+    _entropy,
     _partial_trace,
     _scalar_or_array,
     _unit_interval,
     _xlogx,
     require_density_matrix,
-    von_neumann_entropy,
 )
 from .werner import _corner_weights
 
@@ -220,12 +220,12 @@ def conditional_states(rho, basis):
 def _discord_parts(rhos):
     """S(rho_X) and the mutual information S(rho_X) + S(rho_Y) - S(rho_XY) of each state, as an (S, 2) array.
 
-    rhos is a validated stack; each entropy is one eigensolve of the whole
-    stack.  The partial traces skip their checks: the entropy checks the
-    reduced states again.
+    rhos is a validated stack, whose reduced states are not checked again;
+    each entropy is one eigensolve of the whole stack, and a clamp failure
+    names its state k as "state k: ".
     """
-    s_x = von_neumann_entropy(_partial_trace(rhos, "X"))
-    return np.stack([s_x, s_x + von_neumann_entropy(_partial_trace(rhos, "Y")) - von_neumann_entropy(rhos)], axis=1)
+    s_x = _entropy(_partial_trace(rhos, "X"))
+    return np.stack([s_x, s_x + _entropy(_partial_trace(rhos, "Y")) - _entropy(rhos)], axis=1)
 
 
 def mutual_information(rho):

@@ -57,27 +57,17 @@ def _as_stack(m, name="matrix"):
     return (m, True) if m.ndim == 3 else (m[None], False)
 
 
-def _first_failure(checks):
-    """Index of the first matrix failing one of checks, and its first failing check's text.
+def _raise_first(checks, stacked):
+    """Raise ValueError for the first matrix failing one of checks, with its first failing check's text.
 
     checks are (bad, message) pairs in the order one matrix is checked:
     bad is a boolean mask over the stack, message(k) the text for matrix k.
-    Returns (None, None) when every matrix passes.
-    """
-    failing = [mask for mask, _ in checks if mask.any()]
-    if not failing:
-        return None, None
-    k = min(int(mask.argmax()) for mask in failing)
-    return k, next(message(k) for mask, message in checks if mask[k])
-
-
-def _raise_first(checks, stacked):
-    """Raise ValueError for the first matrix failing one of checks (see _first_failure).
-
     In a stacked input the message is prefixed "state k: ".
     """
-    k, message = _first_failure(checks)
-    if k is not None:
+    failing = [mask for mask, _ in checks if mask.any()]
+    if failing:
+        k = min(int(mask.argmax()) for mask in failing)
+        message = next(message(k) for mask, message in checks if mask[k])
         raise ValueError((f"state {k}: " if stacked else "") + message)
 
 
@@ -88,7 +78,7 @@ def _hermiticity_check(m, name):
 
 
 def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
-    """The Hermiticity, dimension and unit-trace checks of each matrix of a stack, for _first_failure.
+    """The Hermiticity, dimension and unit-trace checks of each matrix of a stack, for _raise_first.
 
     The dimension check, when dim is given, fails every matrix with the text wrong_dim.
     """
@@ -132,18 +122,15 @@ def require_hermitian(m, name="matrix"):
 
 def _require_density(rhos, dim, name, stacked):
     """The checks of require_density_matrix on each matrix of an (S, d, d) stack."""
-    # NaN fails no comparison below; it would reach eigvalsh and raise LinAlgError
     checks = [(~np.isfinite(rhos).all(axis=(1, 2)), lambda k: f"{name} has a non-finite entry")]
     checks += _hermitian_unit_trace_checks(rhos, name, dim, f"{name} must be {dim}x{dim}, got {rhos.shape[1:]}")
-    k, message = _first_failure(checks)
-    # the spectrum of every matrix ahead of the first one failing a check above
-    low = _eigvalsh(rhos[:k]).min(axis=-1)
-    not_psd = np.flatnonzero(low < -NEG_EIGENVALUE_TOL)
-    if not_psd.size:
-        k = int(not_psd[0])
-        message = f"{name} is not positive semidefinite (min eigenvalue {low[k]:.3e})"
-    if k is not None:
-        raise ValueError((f"state {k}: " if stacked else "") + message)
+    # eigensolve only the matrices ahead of the first one failing a check above: that one
+    # is named before any later one, and a NaN would make eigvalsh raise LinAlgError
+    ahead = min((int(mask.argmax()) for mask, _ in checks if mask.any()), default=len(rhos))
+    low = np.zeros(len(rhos))
+    low[:ahead] = _eigvalsh(rhos[:ahead]).min(axis=-1)
+    checks.append((low < -NEG_EIGENVALUE_TOL, lambda k: f"{name} is not positive semidefinite (min eigenvalue {low[k]:.3e})"))
+    _raise_first(checks, stacked)
     return rhos
 
 
@@ -336,11 +323,16 @@ def von_neumann_entropy(rho):
     """
     rhos, stacked = _as_stack(rho, "rho")
     _raise_first(_hermitian_unit_trace_checks(rhos, "rho"), stacked)
+    entropy = _entropy(rhos, stacked)
+    return entropy if stacked else float(entropy[0])
+
+
+def _entropy(rhos, stacked=True):
+    """von_neumann_entropy of each matrix of an (S, d, d) stack, without its checks; the clamp still applies."""
     vals = _eigvalsh(rhos)
     terms = _xlogx(_clamp_spectrum(vals if stacked else vals[0], 1.0).reshape(vals.shape))
     # the terms summed in the order of sum(): 0 + x0 + x1 + ...
     total = np.zeros(len(rhos))
     for column in terms.T:
         total = total + column
-    entropy = 0.0 - total
-    return entropy if stacked else float(entropy[0])
+    return 0.0 - total

@@ -343,11 +343,24 @@ def test_non_finite_mean_photon_exits_2(tmp_path, capsys, value, source):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source, out", [("flag", ""), ("flag", "outdir/"), ("config", "")])
+def test_mean_photon_below_minimum_exits_2_with_the_cat_params_message(tmp_path, capsys):
+    # cat_params is the one check of a mean photon number: the first bad
+    # value in the order given is named in its words
+    with pytest.raises(ValueError) as raised:
+        cli.cat_params(1e-4)
+    out = tmp_path / "q.csv"
+    assert main(["quasi-surface", "--alpha2", "1", "--alpha2", "1e-4", "--alpha2", "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, out", [("flag", ""), ("flag", "outdir/"), ("config", ""), ("flag", "outdir"), ("flag", ".")]
+)
 def test_output_path_without_a_file_name_exits_2_before_any_row(tmp_path, capsys, monkeypatch, source, out):
-    # "" names the working directory and "outdir/" a directory: either is
-    # rejected with the config, before a row is computed or a temporary
-    # file is made beside it or in its parent
+    # "" and "." name the working directory, and "outdir/" and "outdir" an
+    # existing directory: each is rejected with the config, before a row is
+    # computed or a temporary file is made beside it or in its parent
     monkeypatch.chdir(tmp_path)
     (tmp_path / "outdir").mkdir()
 
@@ -477,6 +490,24 @@ def test_interrupt_stops_the_workers_and_keeps_existing_output(tmp_path, monkeyp
     assert time.monotonic() - t0 < 30  # the sleeping worker was stopped, not waited for
     assert out.read_text(encoding="utf-8") == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("argv, cpus", [(["werner-curves"], 1), (["werner-curves"], 2), (["verify"], 1)])
+def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch, argv, cpus):
+    # Ctrl-C while rows are computed, in this process and in a worker, or while verify runs
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "werner_curves_rows", lambda cfg: (["a", "b"], cli.Table([cfg.a_grid], interrupt)))
+    monkeypatch.setattr(cli, "MIN_RANGE_ROWS", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr("ecswerner.verify.run_verification", interrupt)
+    if argv == ["werner-curves"]:
+        argv = [*argv, "--a-steps", "3", "--out", str(tmp_path / "w.csv")]
+    assert main(argv) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert list(tmp_path.iterdir()) == []
     assert_no_worker_left()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecswerner import discord
+from ecswerner import discord, qmatrix
 from ecswerner.catstates import StateFamily, cat_params
 from ecswerner.cli import DEFAULT_ALPHA2
 from ecswerner.discord import (
@@ -535,6 +535,22 @@ def test_stacked_entropy_clamp_names_state():
     with pytest.raises(NumericalIntegrityError, match=r"^eigenvalue -1\.8") as info:
         von_neumann_entropy(partial_trace(stack[2], "X"))
     assert info.value.index is None
+
+
+def test_the_pipeline_checks_a_stack_once():
+    # state 1 is Hermitian within the tolerance, 0.8e-12 off in rho_13 and
+    # rho_24, but its reduced X state adds the two, 1.6e-12 off: a check of
+    # the reduced states again would reject a stack that passed its own
+    good = werner_stack(StateFamily.PSI_PLUS, np.array([0.5, 0.5]), cat_params(1.0))
+    rhos = good.copy()
+    rhos[1, 0, 2] += 0.8e-12
+    rhos[1, 1, 3] += 0.8e-12
+    require_density_stack(rhos)
+    for call in (lambda stack: discord_profile(stack, THETA_GRID), lambda stack: [r.value for r in discord_min(stack)]):
+        with mock.patch.object(qmatrix, "_hermiticity_check", wraps=qmatrix._hermiticity_check) as check:
+            values = call(rhos)
+        assert check.call_count == 1
+        assert np.max(np.abs(np.subtract(values, call(good)))) < 1e-9
 
 
 # -- discord_min ---------------------------------------------------------------

@@ -3,8 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecswerner import entanglement, verify, werner
+from ecswerner.catstates import ALPHA2_MIN, StateFamily, cat_params
+from ecswerner.discord import discord_profile, discord_quasi_closed, werner_discord_closed
+from ecswerner.entanglement import _closed_concurrence, concurrence_mixed
+from ecswerner.qmatrix import eigvals_hermitian, partial_trace
 
 
 def nan_like(real):
@@ -97,3 +103,33 @@ def test_verify_makes_one_stacked_pipeline_call_per_check(monkeypatch):
             count(verify, name)
     verify.run_verification()
     assert calls == {"discord_profile": 8}
+
+
+# |alpha|^2 log-uniform in [ALPHA2_MIN, 400], and a in [0, 1], each with both ends
+mean_photons = st.one_of(
+    st.sampled_from([ALPHA2_MIN, 400.0]),
+    st.floats(math.log(ALPHA2_MIN), math.log(400.0)).map(lambda x: min(max(math.exp(x), ALPHA2_MIN), 400.0)),
+)
+mixings = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(StateFamily), mean_photons, mixings, st.floats(-math.pi, math.pi))
+def test_closed_forms_match_the_pipeline_off_the_verify_grid(family, mean_photon, a, theta):
+    # the core invariant at any point, under the tolerances of the matching verify checks
+    p = cat_params(mean_photon)
+    rhos = werner.werner_stack(family, np.array([a]), p)
+    piped = discord_profile(rhos, [theta])[0, 0]
+    if family.maximally_entangled:
+        closed = werner_discord_closed(a)
+    else:
+        closed = discord_quasi_closed(a, p, theta)
+    assert abs(closed - piped) < 1e-9
+    assert piped >= -1e-9
+    (res,) = concurrence_mixed(rhos)
+    assert abs(res.concurrence - _closed_concurrence(family, a, p)) < 1e-9
+    assert np.max(np.abs(res.lambdas - werner._closed_lambdas(family, a, p))) < 1e-9
+    spectra, joint = werner._closed_spectra(family, a, p), eigvals_hermitian(rhos)[0]
+    assert np.max(np.abs(joint - spectra.joint)) < 1e-10
+    assert joint[-1] > -1e-12
+    assert np.max(np.abs(eigvals_hermitian(partial_trace(rhos, "Y"))[0] - spectra.reduced_y)) < 1e-10
