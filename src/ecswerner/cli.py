@@ -37,20 +37,11 @@ from .entanglement import _closed_concurrence, eof
 from .qmatrix import NumericalIntegrityError
 from .werner import werner_stack
 
-DEFAULT_A_MIN = 0.0
-DEFAULT_A_MAX = 1.0
-DEFAULT_A_STEPS = 101
-DEFAULT_THETA_STEPS = 181
-DEFAULT_ZUREK_THETA_STEPS = 361
 DEFAULT_ALPHA2 = (0.01, 0.02, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
-DEFAULT_FAMILY = "psi+"
-DEFAULT_FORMAT = "csv"
 
 # a row is flagged when its discord differs from the theta=0 value by more
 # than this, i.e. the state's discord depends on the measurement basis there
 BASIS_FLAG_TOL = 1e-6
-
-CONFIG_KEYS = ("a_min", "a_max", "a_steps", "theta_steps", "alpha2", "family", "out", "format")
 
 
 class ConfigError(Exception):
@@ -332,6 +323,32 @@ def write_rows(path, fmt, columns, rows):
 # ---------------------------------------------------------------------------
 # configuration
 
+def _numbers(text):
+    """The numbers of a config value's comma- or space-separated list, or of a repeated flag's values, one each."""
+    return [float(tok) for tok in (text.replace(",", " ").split() if isinstance(text, str) else text)]
+
+
+def _format(text):
+    if text not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {text!r}")
+    return text
+
+
+# Every sweep setting once, flag --a-min and config key a_min through one converter: the help text, the converter,
+# what a value it rejects must be (None: its message says so), and the default (None: set by the command).
+SETTINGS = {
+    "a_min": ("lower end of the mixing-parameter grid (default 0)", float, "be a number", 0.0),
+    "a_max": ("upper end of the mixing-parameter grid (default 1)", float, "be a number", 1.0),
+    "a_steps": ("number of mixing-parameter samples (default 101)", int, "be an integer", 101),
+    "theta_steps": ("measurement angles, surfaces only (default 181; zurek-surface: 361)", int, "be an integer", None),
+    "alpha2": ("mean photon number, one per flag (default 0.01 0.02 0.1 0.2 0.5 1 2 5)", _numbers, "list numbers",
+               DEFAULT_ALPHA2),
+    "family": ("state family: psi+, psi-, phi+ or phi- (default psi+)", StateFamily.parse, None, StateFamily.PSI_PLUS),
+    "out": ("output path (default <command>.<format>)", str, None, None),
+    "format": ("output format: csv or json (default csv)", _format, None, "csv"),
+}
+
+
 def parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -347,67 +364,50 @@ def parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val.strip()
     return values
 
 
-def _setting(args, values, key, default, convert=str, must=None):
-    """The flag for key if one was given, else its config-file value through convert, else default.
-
-    A config value that convert rejects raises ConfigError: key must <must>.
-    """
-    if (flag := getattr(args, key)) is not None:
-        return flag
-    if key not in values:
-        return default
-    try:
-        return convert(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must {must}, got {values[key]!r}") from exc
-
-
-def _numbers(text):
-    """The numbers of a comma- or space-separated list."""
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
 def build_config(args):
     values = parse_config_file(args.config) if args.config else {}
+    setting = {}
+    for key, (_, convert, must, default) in SETTINGS.items():
+        if (text := getattr(args, key)) is not None:
+            name = "--" + key.replace("_", "-")
+        elif (text := values.get(key)) is not None:
+            name = "config key " + key
+        else:
+            setting[key] = default
+            continue
+        try:
+            setting[key] = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name} must {must}, got {text!r}" if must else str(exc)) from exc
 
-    a_min = _setting(args, values, "a_min", DEFAULT_A_MIN, float, "be a number")
-    a_max = _setting(args, values, "a_max", DEFAULT_A_MAX, float, "be a number")
-    a_steps = _setting(args, values, "a_steps", DEFAULT_A_STEPS, int, "be an integer")
-    default_theta = DEFAULT_ZUREK_THETA_STEPS if args.command == "zurek-surface" else DEFAULT_THETA_STEPS
-    theta_steps = _setting(args, values, "theta_steps", default_theta, int, "be an integer")
-    alpha2 = _setting(args, values, "alpha2", DEFAULT_ALPHA2, _numbers, "list numbers")
-    family_label = _setting(args, values, "family", DEFAULT_FAMILY)
-    fmt = _setting(args, values, "format", DEFAULT_FORMAT)
-    out = _setting(args, values, "out", None)
-
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    try:
-        family = StateFamily.parse(family_label)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    zurek = args.command == "zurek-surface"
+    a_min, a_max, a_steps, theta_steps = setting["a_min"], setting["a_max"], setting["a_steps"], setting["theta_steps"]
+    if theta_steps is None:
+        theta_steps = 361 if zurek else 181
     if not 0.0 <= a_min <= a_max <= 1.0:
         raise ConfigError(f"need 0 <= a-min <= a-max <= 1, got {a_min!r}, {a_max!r}")
     if a_steps < 1 or theta_steps < 1:
         raise ConfigError("step counts must be at least 1")
-    if not alpha2:
+    if not setting["alpha2"]:
         raise ConfigError("alpha2 list must not be empty")
     try:
-        params = sorted(map(cat_params, alpha2), key=lambda p: p.mean_photon)
+        params = sorted(map(cat_params, setting["alpha2"]), key=lambda p: p.mean_photon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     try:
         a_grid = np.linspace(a_min, a_max, a_steps)
-        theta_grid = np.linspace(-math.pi if args.command == "zurek-surface" else 0.0, math.pi, theta_steps)
+        surface = args.command.endswith("surface")  # only the surfaces read a theta grid
+        theta_grid = np.linspace(-math.pi if zurek else 0.0, math.pi, theta_steps) if surface else None
     except MemoryError:
         raise ConfigError(f"{a_steps} a values and {theta_steps} theta values do not fit in memory") from None
+    fmt, out = setting["format"], setting["out"]
     if out is None:
         out = args.command.replace("-", "_") + "." + fmt
     if not os.path.basename(out) or os.path.isdir(out):
@@ -418,7 +418,7 @@ def build_config(args):
         theta_grid=theta_grid,
         mean_photon_list=tuple(p.mean_photon for p in params),
         params=params,
-        family=family,
+        family=setting["family"],
         output_path=out,
         format=fmt,
     )
@@ -512,8 +512,15 @@ def run_verify():
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that only splits argv, and prints a rejection as one error line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecswerner",
         description="Discord and entanglement sweeps for Werner states built from entangled coherent states.",
     )
@@ -521,18 +528,9 @@ def build_parser():
 
     def add_sweep(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--a-min", type=float, default=None, help="lower end of the mixing-parameter grid")
-        p.add_argument("--a-max", type=float, default=None, help="upper end of the mixing-parameter grid")
-        p.add_argument("--a-steps", type=int, default=None, help="number of mixing-parameter samples")
-        p.add_argument("--theta-steps", type=int, default=None, help="number of measurement-angle samples")
-        p.add_argument("--alpha2", type=float, action="append", default=None,
-                       help="mean photon number (repeatable)")
-        p.add_argument("--family", choices=[f.value for f in StateFamily], default=None,
-                       help="state family (default psi+)")
-        p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
-        p.add_argument("--format", choices=["csv", "json"], default=None, help="output format (default csv)")
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        return p
+        for key, (text, *_) in SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), action="append" if key == "alpha2" else None, help=text)
+        p.add_argument("--config", help="flat key=value config file")
 
     add_sweep("zurek-surface", "discord of the einselection benchmark state over (a, theta)")
     add_sweep("quasi-surface", "quasi-Werner discord: closed form vs pipeline over (|alpha|^2, a, theta)")
@@ -543,9 +541,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

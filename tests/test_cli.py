@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ecswerner import cli
@@ -268,6 +271,11 @@ def test_config_file_and_cli_precedence(tmp_path):
         ("family", "psi-", "phi+", "psi+"),
         ("format", "csv", "json", "csv"),
         ("out", "flag.csv", "config.csv", "werner_curves.csv"),
+        ("a_min", "0.25", "0.5", "0.0"),
+        ("a_max", "0.75", "0.5", "1.0"),
+        ("a_steps", "3", "5", "101"),
+        ("theta_steps", "3", "5", "181"),
+        ("alpha2", "0.25", "0.5 2.5", "0.01 0.02 0.1 0.2 0.5 1.0 2.0 5.0"),
     ],
 )
 def test_flag_overrides_config_overrides_default(tmp_path, key, flag, config, default):
@@ -275,12 +283,26 @@ def test_flag_overrides_config_overrides_default(tmp_path, key, flag, config, de
     cfg.write_text(f"{key} = {config}\n", encoding="utf-8")
 
     def resolved(*argv):
-        sweep = cli.build_config(cli.build_parser().parse_args(["werner-curves", *argv]))
-        return {"family": sweep.family.value, "format": sweep.format, "out": sweep.output_path}[key]
+        # werner-curves builds no theta grid, so theta_steps is read on a surface
+        command = "quasi-surface" if key == "theta_steps" else "werner-curves"
+        sweep = cli.build_config(cli.build_parser().parse_args([command, *argv]))
+        return {
+            "family": sweep.family.value,
+            "format": sweep.format,
+            "out": sweep.output_path,
+            "a_min": str(sweep.a_grid[0]),
+            "a_max": str(sweep.a_grid[-1]),
+            "a_steps": str(len(sweep.a_grid)),
+            "theta_steps": str(len(sweep.theta_grid)) if sweep.theta_grid is not None else None,
+            "alpha2": " ".join(map(str, sweep.mean_photon_list)),
+        }[key]
 
-    assert resolved("--config", str(cfg), f"--{key}", flag) == flag
+    name = "--" + key.replace("_", "-")
+    assert resolved("--config", str(cfg), name, flag) == flag
     assert resolved("--config", str(cfg)) == config
     assert resolved() == default
+    if key != "alpha2":  # a scalar flag given twice takes its last value; --alpha2 takes one number each time
+        assert resolved(name, config, name, flag) == flag
 
 
 @pytest.mark.parametrize(
@@ -291,6 +313,8 @@ def test_flag_overrides_config_overrides_default(tmp_path, key, flag, config, de
         ("a_steps = 2.5", "config key a_steps must be an integer, got '2.5'"),
         ("theta_steps = many", "config key theta_steps must be an integer, got 'many'"),
         ("alpha2 = 1, two", "config key alpha2 must list numbers, got '1, two'"),
+        ("family = nope", "unknown state family 'nope' (expected one of: psi+, psi-, phi+, phi-)"),
+        ("format = xml", "format must be csv or json, got 'xml'"),
     ],
 )
 def test_bad_config_value_exits_2_with_its_message(tmp_path, capsys, line, message):
@@ -299,6 +323,13 @@ def test_bad_config_value_exits_2_with_its_message(tmp_path, capsys, line, messa
     out = tmp_path / "w.csv"
     assert main(["werner-curves", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    # the same value as a flag is the same setting: one line in the same words, naming the flag;
+    # --alpha2 shows the numbers it was given, one per flag
+    key, value = line.split(" = ")
+    flag = "--" + key.replace("_", "-")
+    assert main(["werner-curves", flag, value, "--out", str(out)]) == 2
+    got = repr([value] if key == "alpha2" else value)
+    assert capsys.readouterr().err == f"error: {message.replace(f'config key {key}', flag).replace(repr(value), got)}\n"
     assert not out.exists()
 
 
@@ -309,21 +340,35 @@ def test_default_output_name(tmp_path, monkeypatch):
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
-    assert main(["zurek-surface", "--a-min", "0.9", "--a-max", "0.1"]) == 2
-    assert main(["quasi-surface", "--alpha2", "1e-5"]) == 2
-    assert main(["quasi-surface", "--family", "nope"]) == 2  # argparse choice
-    assert main(["no-such-command"]) == 2
+    def rejected(*argv):
+        # exit 2 with one error line: argparse's own rejections print no usage block
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        return code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+    assert rejected("zurek-surface", "--a-min", "0.9", "--a-max", "0.1")
+    assert rejected("quasi-surface", "--alpha2", "1e-5")
+    assert rejected("quasi-surface", "--family", "nope")  # the StateFamily.parse message
+    assert rejected("quasi-surface", "--format", "xml")
+    assert rejected("quasi-surface", "--a-steps", "1e3")
+    # a command's own theta default takes no explicit value's place
+    assert rejected("werner-curves", "--theta-steps", "0")
+    assert rejected("quasi-surface", "--alpha2")  # no value
+    assert rejected("werner-curves", "--no-such-flag", "1")
+    assert rejected("no-such-command")
+    assert rejected()
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("unknown_key = 3\n", encoding="utf-8")
-    assert main(["werner-curves", "--config", str(bad_cfg)]) == 2
+    assert rejected("werner-curves", "--config", str(bad_cfg))
     missing = tmp_path / "missing.cfg"
-    assert main(["werner-curves", "--config", str(missing)]) == 2
+    assert rejected("werner-curves", "--config", str(missing))
     not_utf8 = tmp_path / "not_utf8.cfg"
     not_utf8.write_bytes(b"a_steps = 3\xff\n")
-    capsys.readouterr()
     assert main(["werner-curves", "--config", str(not_utf8)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config file {not_utf8}: ") and err.count("\n") == 1
+    assert main(["quasi-surface", "--help"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1168,3 +1213,121 @@ def test_verify_passes(capsys):
     # the two adjudicated conventions stay visible, with the rejected readings' size
     assert "-2" in out and "rejected" in out
     assert "sqrt(d1*d4)" in out
+
+
+@pytest.mark.parametrize("command", ["werner-curves", "quasi-curves"])
+def test_curves_build_no_theta_grid(tmp_path, monkeypatch, command):
+    # the curves read no theta grid, so a theta count too large to allocate
+    # is no reason to stop them; it is never allocated
+    real = np.linspace
+
+    def linspace(start, stop, num, **kwargs):
+        if num > 10**6:
+            raise MemoryError
+        return real(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    out = tmp_path / "c.csv"
+    assert main([command, "--alpha2", "1", "--a-steps", "3", "--theta-steps", str(10**12), "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 3
+
+
+# the CLI boundary as a grammar: each setting's valid and invalid texts (a
+# valid a_min never exceeds a valid a_max, and the step counts stay small),
+# then what else argv or a config file can hold
+BOUNDARY_TEXTS = {
+    "a_min": (["0", "0.25", "0.5"], ["-0.5", "1.5", "nan", "low", ""]),
+    "a_max": (["0.5", "0.75", "1"], ["2", "inf", "1.0.0"]),
+    "a_steps": (["1", "3", "5"], ["0", "-2", "2.5", "1e3", "x"]),
+    "theta_steps": (["1", "4"], ["0", "1e3", "many"]),
+    "alpha2": (["0.5", "2", "0.01"], ["1e-4", "nan", "-1", "two", ""]),
+    "family": (["psi+", "psi-", "phi+", "phi-"], ["nope", "PSI+"]),
+    "format": (["csv", "json"], ["xml", ""]),
+    # a missing parent directory passes the checks, and fails the write
+    "out": (["out.csv", "sub/out.json", "missing/out.csv"], ["", ".", "sub", "sub/"]),
+}
+BOUNDARY_EXTRAS = [
+    "comment", "hyphenated key", "unknown key", "no equals", "bad encoding", "missing config", "unknown flag",
+    "no value",
+]
+ROW_GENERATORS = ["zurek_surface_rows", "quasi_surface_rows", "werner_curves_rows", "quasi_curves_rows"]
+
+
+@st.composite
+def boundary_inputs(draw):
+    """argv, the config file's bytes (None: no --config) and the extras drawn."""
+    command = draw(st.sampled_from(["zurek-surface", "quasi-surface", "werner-curves", "quasi-curves", "nope", None]))
+    broken = draw(st.sets(st.sampled_from(sorted(BOUNDARY_TEXTS)), max_size=1))
+    argv, lines = [command] if command else [], []
+    for key, (valid, invalid) in BOUNDARY_TEXTS.items():
+        # the step counts and alpha2 are always set, so no sweep runs on the default grid
+        small = key in ("a_steps", "theta_steps", "alpha2")
+        for source in draw(st.lists(st.sampled_from(["flag", "config"]), min_size=small, max_size=2)):
+            text = draw(st.sampled_from(invalid if key in broken else valid))
+            if source == "flag":
+                argv += ["--" + key.replace("_", "-"), text]
+            else:
+                lines.append(f"{key} = {text}")
+    extras = draw(st.sets(st.sampled_from(BOUNDARY_EXTRAS), max_size=1))
+    extra_lines = {"comment": "# a comment", "hyphenated key": "a-min = 0  # trailing",
+                   "unknown key": "unknown_key = 3", "no equals": "a_steps 3"}
+    lines += [extra_lines[e] for e in sorted(extras) if e in extra_lines]
+    config = None
+    if lines or "bad encoding" in extras:
+        config = "\n".join(lines).encode("utf-8") + (b"\nfamily = \xff\n" if "bad encoding" in extras else b"\n")
+        argv += ["--config", "sweep.cfg"]
+    if "missing config" in extras:
+        argv += ["--config", "missing/sweep.cfg"]
+    if "unknown flag" in extras:
+        argv.append("--no-such-flag")
+    if "no value" in extras:
+        argv.append("--a-steps")
+    return argv, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_inputs())
+def test_every_cli_input_exits_with_one_line(inputs):
+    # whatever argv and config file, main exits 0, 2, 3 or 4; a failure
+    # prints one error line and no traceback, an exit 2 computes no row,
+    # no temporary or part file is left, and a success writes the rows it
+    # reports
+    argv, config = inputs
+    with tempfile.TemporaryDirectory() as outer, pytest.MonkeyPatch.context() as mp:
+        work = Path(outer) / "work"
+        (work / "sub").mkdir(parents=True)
+        if config is not None:
+            (work / "sweep.cfg").write_bytes(config)
+        mp.chdir(work)
+        mp.setattr(cli, "_cpu_count", lambda: 1)
+        called = []
+
+        def recorded(real):
+            def generator(cfg):
+                called.append(real)
+                return real(cfg)
+
+            return generator
+
+        for name in ROW_GENERATORS:
+            mp.setattr(cli, name, recorded(getattr(cli, name)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
+        # quasi-surface with psi- or phi- notes that it writes werner-curves output
+        notes = [line for line in lines if line.startswith("note: ")]
+        assert len(notes) <= 1 and (not notes or argv[0] == "quasi-surface")
+        errors = lines[len(notes) :]
+        assert len(errors) == (1 if code else 0) and all(line.startswith("error: ") for line in errors)
+        if code == 2:
+            assert called == []
+        assert not list(Path(outer).rglob(".*.tmp*"))
+        if code == 0:
+            count, path = re.fullmatch(r"wrote (\d+) rows to (.+)\n", out.getvalue()).groups()
+            text = Path(path).read_text(encoding="utf-8")
+            rows = len(json.loads(text)) if text.startswith("[") else text.count("\n") - 1
+            assert int(count) == rows

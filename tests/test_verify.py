@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from ecswerner import entanglement, verify, werner
 from ecswerner.catstates import ALPHA2_MIN, StateFamily, cat_params
-from ecswerner.discord import discord_profile, discord_quasi_closed, werner_discord_closed
+from ecswerner.discord import (
+    discord_profile,
+    discord_quasi_closed,
+    werner_discord_closed,
+    zurek_density,
+    zurek_discord,
+)
 from ecswerner.entanglement import _closed_concurrence, concurrence_mixed
 from ecswerner.qmatrix import eigvals_hermitian, partial_trace
 
@@ -114,10 +120,15 @@ mixings = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(StateFamily), mean_photons, mixings, st.floats(-math.pi, math.pi))
-def test_closed_forms_match_the_pipeline_off_the_verify_grid(family, mean_photon, a, theta):
+@given(st.sampled_from(StateFamily), mean_photons, mixings, st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+def test_closed_forms_match_the_pipeline_off_the_verify_grid(family, mean_photon, a, theta, phi):
     # the core invariant at any point, under the tolerances of the matching verify checks
     p = cat_params(mean_photon)
+    # at a measurement phase too: psi+ and phi+ have one discord, and the einselection state its closed form
+    plus = [werner.werner_stack(f, np.array([a]), p) for f in (StateFamily.PSI_PLUS, StateFamily.PHI_PLUS)]
+    psi, phi_plus, zurek = discord_profile(np.concatenate([*plus, zurek_density(np.array([a]))]), [theta], phi)[:, 0]
+    assert abs(psi - phi_plus) < 1e-12
+    assert abs(zurek_discord(a, theta) - zurek) < 1e-9
     rhos = werner.werner_stack(family, np.array([a]), p)
     piped = discord_profile(rhos, [theta])[0, 0]
     if family.maximally_entangled:
