@@ -1,14 +1,8 @@
 """Command-line sweeps over the Werner families, written as CSV or JSON.
 
-Subcommands
-    zurek-surface   discord of the einselection benchmark state on (a, theta)
-    quasi-surface   quasi-Werner discord, closed form and pipeline side by side
-    werner-curves   E, minimum discord and their difference for Werner states
-    quasi-curves    the same curves for quasi-Werner states per mean photon number
-    verify          run the closed-form-vs-numeric verification suite
-
-Flag values override config-file values, which override the built-in
-defaults.  The config file is flat "key = value" text; see README.
+COMMANDS lists the subcommands and what each reads.  Flag values override
+config-file values, which override the built-in defaults.  The config file
+is flat "key = value" text; see README.
 """
 
 import argparse
@@ -49,8 +43,8 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# row generators (one per subcommand); each returns the column names and
-# the rows as a Table
+# row generators, cli.<command>_rows for each sweep; each returns the column
+# names and the rows as a Table
 
 class Table:
     """A sweep's rows: the 1-D grid axes in column order, the last fastest, then values(lo, hi) and line.
@@ -340,12 +334,24 @@ SETTINGS = {
     "a_min": ("lower end of the mixing-parameter grid (default 0)", float, "be a number", 0.0),
     "a_max": ("upper end of the mixing-parameter grid (default 1)", float, "be a number", 1.0),
     "a_steps": ("number of mixing-parameter samples (default 101)", int, "be an integer", 101),
-    "theta_steps": ("measurement angles, surfaces only (default 181; zurek-surface: 361)", int, "be an integer", None),
+    "theta_steps": ("number of measurement angles", int, "be an integer", None),
     "alpha2": ("mean photon number, one per flag (default 0.01 0.02 0.1 0.2 0.5 1 2 5)", _numbers, "list numbers",
                DEFAULT_ALPHA2),
     "family": ("state family: psi+, psi-, phi+ or phi- (default psi+)", StateFamily.parse, None, StateFamily.PSI_PLUS),
     "out": ("output path (default <command>.<format>)", str, None, None),
     "format": ("output format: csv or json (default csv)", _format, None, "csv"),
+}
+
+# Every command once: its help text, then for a sweep (not verify) its theta_steps default, the start of its theta
+# grid on [start, pi] (None: it builds none), whether its rows have a mean-photon axis, and the command it writes
+# for psi- and phi- (None: itself).  A sweep's rows come from cli.<command>_rows, looked up when it runs.
+COMMANDS = {
+    "zurek-surface": ("discord of the einselection benchmark state over (a, theta)", 361, -math.pi, False, None),
+    "quasi-surface": ("quasi-Werner discord: closed form vs pipeline over (|alpha|^2, a, theta)", 181, 0.0, True,
+                      "werner-curves"),
+    "werner-curves": ("E, minimum discord and delta - E for perfect Werner states", 181, None, False, None),
+    "quasi-curves": ("E, minimum discord and delta - E for quasi-Werner states", 181, None, True, None),
+    "verify": ("run the closed-form-vs-numeric verification suite",),
 }
 
 
@@ -386,10 +392,13 @@ def build_config(args):
         except ValueError as exc:
             raise ConfigError(f"{name} must {must}, got {text!r}" if must else str(exc)) from exc
 
-    zurek = args.command == "zurek-surface"
+    command = args.command
+    if setting["family"].maximally_entangled:
+        command = COMMANDS[command][4] or command
+    _, default_theta_steps, theta_start, _, _ = COMMANDS[command]
     a_min, a_max, a_steps, theta_steps = setting["a_min"], setting["a_max"], setting["a_steps"], setting["theta_steps"]
     if theta_steps is None:
-        theta_steps = 361 if zurek else 181
+        theta_steps = default_theta_steps
     if not 0.0 <= a_min <= a_max <= 1.0:
         raise ConfigError(f"need 0 <= a-min <= a-max <= 1, got {a_min!r}, {a_max!r}")
     if a_steps < 1 or theta_steps < 1:
@@ -403,8 +412,7 @@ def build_config(args):
 
     try:
         a_grid = np.linspace(a_min, a_max, a_steps)
-        surface = args.command.endswith("surface")  # only the surfaces read a theta grid
-        theta_grid = np.linspace(-math.pi if zurek else 0.0, math.pi, theta_steps) if surface else None
+        theta_grid = None if theta_start is None else np.linspace(theta_start, math.pi, theta_steps)
     except MemoryError:
         raise ConfigError(f"{a_steps} a values and {theta_steps} theta values do not fit in memory") from None
     fmt, out = setting["format"], setting["out"]
@@ -414,6 +422,7 @@ def build_config(args):
         raise ConfigError(f"output path must end in a file name, got {out!r}")
 
     return types.SimpleNamespace(
+        command=command,
         a_grid=a_grid,
         theta_grid=theta_grid,
         mean_photon_list=tuple(p.mean_photon for p in params),
@@ -435,7 +444,7 @@ def _span(name, values):
 
 
 def run_sweep(args):
-    """Write the sweep args.command asks for; return the exit code.
+    """Write the sweep args.command asks for, or its COMMANDS fallback for psi- and phi-; return the exit code.
 
     A numerical failure (NumericalIntegrityError or LinAlgError) in the
     row generator exits 4 naming the (|alpha|^2, a) point of the failing
@@ -451,24 +460,12 @@ def run_sweep(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if cfg.command != args.command:
+        print(f"note: discord of the {cfg.family.value} Werner state does not depend on the measurement angle; "
+              f"writing {cfg.command} output instead", file=sys.stderr)
     mean_photons, a_grid, theta_grid = cfg.mean_photon_list, cfg.a_grid, cfg.theta_grid
-    generator, grid = {
-        "zurek-surface": (zurek_surface_rows, (a_grid, theta_grid)),
-        "quasi-surface": (quasi_surface_rows, (mean_photons, a_grid, theta_grid)),
-        "werner-curves": (werner_curves_rows, (a_grid,)),
-        "quasi-curves": (quasi_curves_rows, (mean_photons, a_grid)),
-    }[args.command]
-
-    if args.command == "quasi-surface" and cfg.family.maximally_entangled:
-        print(
-            f"note: discord of the {cfg.family.value} Werner state does not depend on "
-            "the measurement angle; writing werner-curves output instead",
-            file=sys.stderr,
-        )
-        generator, grid = werner_curves_rows, (a_grid,)
-
     try:
-        columns, rows = generator(cfg)
+        columns, rows = globals()[cfg.command.replace("-", "_") + "_rows"](cfg)
         write_rows(cfg.output_path, cfg.format, columns, rows)
     except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
         index = 0 if len(mean_photons) * len(a_grid) == 1 else getattr(exc, "index", None)
@@ -480,7 +477,9 @@ def run_sweep(args):
         print(f"error: numerical failure at {where}: {exc}", file=sys.stderr)
         return 4
     except MemoryError:
-        size = math.prod(map(len, grid))
+        _, _, _, photons, _ = COMMANDS[cfg.command]
+        axes = (mean_photons,) * photons + (a_grid,) + (theta_grid,) * (theta_grid is not None)
+        size = math.prod(map(len, axes))
         print(f"error: the {args.command} grid of {size} rows does not fit in memory", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -525,18 +524,16 @@ def build_parser():
         description="Discord and entanglement sweeps for Werner states built from entangled coherent states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_sweep(name, help_text):
+    for name, (help_text, *sweep) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if not sweep:
+            continue
+        theta_steps, theta_start, _, _ = sweep
         for key, (text, *_) in SETTINGS.items():
+            if key == "theta_steps":
+                text += f" (default {theta_steps})" if theta_start is not None else " (checked, not read)"
             p.add_argument("--" + key.replace("_", "-"), action="append" if key == "alpha2" else None, help=text)
         p.add_argument("--config", help="flat key=value config file")
-
-    add_sweep("zurek-surface", "discord of the einselection benchmark state over (a, theta)")
-    add_sweep("quasi-surface", "quasi-Werner discord: closed form vs pipeline over (|alpha|^2, a, theta)")
-    add_sweep("werner-curves", "E, minimum discord and delta - E for perfect Werner states")
-    add_sweep("quasi-curves", "E, minimum discord and delta - E for quasi-Werner states")
-    sub.add_parser("verify", help="run the closed-form-vs-numeric verification suite")
     return parser
 
 
@@ -546,7 +543,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return run_verify() if args.command == "verify" else run_sweep(args)
+        return run_sweep(args) if len(COMMANDS[args.command]) > 1 else run_verify()
     except KeyboardInterrupt:
         # write_rows has already stopped its workers and removed its files
         print("error: interrupted", file=sys.stderr)

@@ -1215,10 +1215,11 @@ def test_verify_passes(capsys):
     assert "sqrt(d1*d4)" in out
 
 
-@pytest.mark.parametrize("command", ["werner-curves", "quasi-curves"])
+@pytest.mark.parametrize("command", ["werner-curves", "quasi-curves", "quasi-surface --family psi-"])
 def test_curves_build_no_theta_grid(tmp_path, monkeypatch, command):
     # the curves read no theta grid, so a theta count too large to allocate
-    # is no reason to stop them; it is never allocated
+    # is no reason to stop them; it is never allocated, also where
+    # quasi-surface writes the werner-curves table
     real = np.linspace
 
     def linspace(start, stop, num, **kwargs):
@@ -1228,8 +1229,54 @@ def test_curves_build_no_theta_grid(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(np, "linspace", linspace)
     out = tmp_path / "c.csv"
-    assert main([command, "--alpha2", "1", "--a-steps", "3", "--theta-steps", str(10**12), "--out", str(out)]) == 0
+    argv = [*command.split(), "--alpha2", "1", "--a-steps", "3", "--theta-steps", str(10**12), "--out", str(out)]
+    assert main(argv) == 0
     assert len(read_csv(out)[1]) == 3
+
+
+# the settings each command reads, a valid change of each and an invalid
+# value; a command reads a setting when changing it changes the output
+READ_SETTINGS = {
+    "zurek-surface": {"a_min", "a_max", "a_steps", "theta_steps"},
+    "quasi-surface": {"a_min", "a_max", "a_steps", "theta_steps", "alpha2", "family"},
+    "werner-curves": {"a_min", "a_max", "a_steps"},
+    "quasi-curves": {"a_min", "a_max", "a_steps", "alpha2", "family"},
+    # the werner-curves table, which reads no theta grid and no mean photon number
+    "quasi-surface --family psi-": {"a_min", "a_max", "a_steps", "family"},
+}
+SETTING_CHANGES = {
+    "a_min": ("0.25", "0.5", "-1"),
+    "a_max": ("0.75", "1", "2"),
+    "a_steps": ("3", "2", "0"),
+    "theta_steps": ("4", "5", "0"),
+    "alpha2": ("1", "2", "0.0001"),
+    "family": ("psi+", "psi-", "nope"),
+}
+
+
+@pytest.mark.parametrize("command", READ_SETTINGS)
+def test_each_command_reads_exactly_its_settings(tmp_path, command):
+    # changing one setting at a time changes the output bytes exactly for
+    # the settings the command reads; an invalid value of a setting it does
+    # not read still exits 2
+    argv, reads = command.split(), READ_SETTINGS[command]
+    base = {key: value for key, (value, _, _) in SETTING_CHANGES.items()}
+    base.update((flag[2:], value) for flag, value in zip(argv[1::2], argv[2::2]))
+
+    def output(**changed):
+        out = tmp_path / "out.csv"
+        flags = [text for key, value in {**base, **changed}.items() for text in ("--" + key.replace("_", "-"), value)]
+        code = main([argv[0], *flags, "--out", str(out)])
+        return code, out.read_bytes() if code == 0 else None
+
+    code, reference = output()
+    assert code == 0
+    for key, (value, other, invalid) in SETTING_CHANGES.items():
+        # the one setting changed to its other valid value, psi+ and psi- swapped
+        changed = output(**{key: value if base[key] == other else other})
+        assert (changed[1] != reference) == (key in reads), key
+        if key not in reads:
+            assert output(**{key: invalid}) == (2, None), key
 
 
 # the CLI boundary as a grammar: each setting's valid and invalid texts (a
@@ -1250,13 +1297,14 @@ BOUNDARY_EXTRAS = [
     "comment", "hyphenated key", "unknown key", "no equals", "bad encoding", "missing config", "unknown flag",
     "no value",
 ]
-ROW_GENERATORS = ["zurek_surface_rows", "quasi_surface_rows", "werner_curves_rows", "quasi_curves_rows"]
+SWEEPS = ["zurek-surface", "quasi-surface", "werner-curves", "quasi-curves"]
+ROW_GENERATORS = [command.replace("-", "_") + "_rows" for command in SWEEPS]
 
 
 @st.composite
 def boundary_inputs(draw):
     """argv, the config file's bytes (None: no --config) and the extras drawn."""
-    command = draw(st.sampled_from(["zurek-surface", "quasi-surface", "werner-curves", "quasi-curves", "nope", None]))
+    command = draw(st.sampled_from([*SWEEPS, "nope", None]))
     broken = draw(st.sets(st.sampled_from(sorted(BOUNDARY_TEXTS)), max_size=1))
     argv, lines = [command] if command else [], []
     for key, (valid, invalid) in BOUNDARY_TEXTS.items():

@@ -134,6 +134,21 @@ def test_degenerate_branch_is_flagged_and_harmless():
     assert abs(discord_at(rho, MeasurementBasis(math.pi / 2.0)).value) < 1e-12
 
 
+def test_degenerate_branch_bound_lies_between_1e_16_and_1e_12():
+    # a branch of probability 1e-12 is measured: its normalized block is |0><0|
+    rho = np.diag([1.0 - 1e-12, 1e-12, 0.0, 0.0]).astype(complex)
+    _, (r1, p1) = conditional_states(rho, MeasurementBasis(0.0))
+    assert p1 == 1e-12
+    assert np.array_equal(r1, np.diag([1.0, 0.0]))
+    # a branch of probability 1e-16 is degenerate: the placeholder, and no
+    # entropy weight, though its maximally mixed block would add 1e-16 bits
+    rho = np.diag([1.0 - 1e-16, 5e-17, 0.0, 5e-17]).astype(complex)
+    _, (r1, p1) = conditional_states(rho, MeasurementBasis(0.0))
+    assert p1 == 1e-16
+    assert np.array_equal(r1, np.eye(2) / 2.0)
+    assert discord_at(rho, MeasurementBasis(0.0)).value.hex() == "0x0.0p+0"
+
+
 def test_quasi_probabilities_match_conditionals():
     a, mp, theta = 0.8, 0.2, 2.1
     (_, p0), (_, p1) = conditional_states(quasi(a, mp), MeasurementBasis(theta))

@@ -119,6 +119,16 @@ def test_density_matrix_rejects_nan_matrix():
         require_density_matrix(np.full((4, 4), np.nan), dim=4)
 
 
+def test_density_matrix_trace_bound_lies_between_5e_11_and_2e_10():
+    # a trace 2e-10 off 1 is rejected, one 5e-11 off is accepted
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 0] = 0.25 + 2e-10
+    with pytest.raises(ValueError, match=r"^rho must have unit trace, got 1\.0000000002"):
+        require_density_matrix(rho, dim=4)
+    rho[0, 0] = 0.25 + 5e-11
+    require_density_matrix(rho, dim=4)
+
+
 def test_density_stack_reports_first_invalid_state():
     # a state that fails only the PSD check, ahead of a non-finite one, is
     # the one reported, as checking one state at a time would
