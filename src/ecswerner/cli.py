@@ -342,15 +342,15 @@ SETTINGS = {
     "format": ("output format: csv or json (default csv)", _format, None, "csv"),
 }
 
-# Every command once: its help text, then for a sweep (not verify) its theta_steps default, the start of its theta
-# grid on [start, pi] (None: it builds none), whether its rows have a mean-photon axis, and the command it writes
-# for psi- and phi- (None: itself).  A sweep's rows come from cli.<command>_rows, looked up when it runs.
+# Every command once: its help text, then for a sweep (not verify) its theta_steps default and the start of its
+# theta grid on [start, pi] (both None: it builds none), whether its rows have a mean-photon axis, and the command
+# it writes for psi- and phi- (None: itself).  A sweep's rows come from cli.<command>_rows, looked up when it runs.
 COMMANDS = {
     "zurek-surface": ("discord of the einselection benchmark state over (a, theta)", 361, -math.pi, False, None),
     "quasi-surface": ("quasi-Werner discord: closed form vs pipeline over (|alpha|^2, a, theta)", 181, 0.0, True,
                       "werner-curves"),
-    "werner-curves": ("E, minimum discord and delta - E for perfect Werner states", 181, None, False, None),
-    "quasi-curves": ("E, minimum discord and delta - E for quasi-Werner states", 181, None, True, None),
+    "werner-curves": ("E, minimum discord and delta - E for perfect Werner states", None, None, False, None),
+    "quasi-curves": ("E, minimum discord and delta - E for quasi-Werner states", None, None, True, None),
     "verify": ("run the closed-form-vs-numeric verification suite",),
 }
 
@@ -401,7 +401,7 @@ def build_config(args):
         theta_steps = default_theta_steps
     if not 0.0 <= a_min <= a_max <= 1.0:
         raise ConfigError(f"need 0 <= a-min <= a-max <= 1, got {a_min!r}, {a_max!r}")
-    if a_steps < 1 or theta_steps < 1:
+    if a_steps < 1 or theta_steps is not None and theta_steps < 1:
         raise ConfigError("step counts must be at least 1")
     if not setting["alpha2"]:
         raise ConfigError("alpha2 list must not be empty")
@@ -414,7 +414,8 @@ def build_config(args):
         a_grid = np.linspace(a_min, a_max, a_steps)
         theta_grid = None if theta_start is None else np.linspace(theta_start, math.pi, theta_steps)
     except MemoryError:
-        raise ConfigError(f"{a_steps} a values and {theta_steps} theta values do not fit in memory") from None
+        thetas = "" if theta_start is None else f" and {theta_steps} theta values"
+        raise ConfigError(f"{a_steps} a values{thetas} do not fit in memory") from None
     fmt, out = setting["format"], setting["out"]
     if out is None:
         out = args.command.replace("-", "_") + "." + fmt
@@ -531,7 +532,7 @@ def build_parser():
         theta_steps, theta_start, _, _ = sweep
         for key, (text, *_) in SETTINGS.items():
             if key == "theta_steps":
-                text += f" (default {theta_steps})" if theta_start is not None else " (checked, not read)"
+                text += " (checked, not read)" if theta_steps is None else f" (default {theta_steps})"
             p.add_argument("--" + key.replace("_", "-"), action="append" if key == "alpha2" else None, help=text)
         p.add_argument("--config", help="flat key=value config file")
     return parser

@@ -17,7 +17,6 @@ import numpy as np
 from .catstates import CatParams
 from .qmatrix import (
     DEGENERATE_PROB,
-    XLOGX_FLOOR,
     NumericalIntegrityError,
     _density_states,
     _entropy,
@@ -41,15 +40,6 @@ THETA_REFINE_TOL = 1e-8
 # temporaries: a whole 101-state sweep column at once raises the peak
 # memory of quasi-curves by about a fifth
 MIN_SLICE_STATES = 16
-# Bound on |estimate - exact| of a coarse-scan discord.  The estimate
-# (_xlogx_estimate) and the exact value (_xlogx) run the same operations on
-# the same spectra except log2.  Each log2 is within 1 ulp of the true
-# value, so the two differ by at most 2 ulp, and each p log2 p term, at
-# most 1 / (e ln 2) < 0.54 in size, moves by at most 3 ulp of 0.54 once
-# rounded; the eight sums, products and differences after it, of
-# magnitudes below 4, add at most 1 ulp of 4 (8.9e-16) each: the whole is
-# below 1e-14.
-_SCREEN_TOL = 1e-12
 # the off-diagonal, off-anti-diagonal entries of a 4x4 matrix
 _OFF_X = (np.eye(4) + np.eye(4)[::-1]) == 0
 
@@ -175,29 +165,24 @@ def _spectra(rhos, thetas, phis):
     return blocks, (probs, live, e0, e1)
 
 
-def _entropy_sum(spectra, xlogx):
-    """The measured conditional entropy sum_j P_j S(rho_X|j) from the spectra of _spectra, with xlogx for p log2 p.
+def _entropy_sum(spectra):
+    """The measured conditional entropy sum_j P_j S(rho_X|j) from the spectra of _spectra.
 
     The spectra may be indexed down to any shape (..., 2); a branch with
     P_j below DEGENERATE_PROB contributes nothing.
     """
     probs, live, e0, e1 = spectra
     # one xlogx call for both eigenvalues (it is elementwise): half the fixed cost
-    x = xlogx(np.stack([e0, e1]))
+    x = _xlogx(np.stack([e0, e1]))
     terms = np.where(live, probs * -(x[0] + x[1]), 0.0)
     # leading 0.0 keeps a zero entropy from coming out as -0.0
     return 0.0 + terms[..., 0] + terms[..., 1]
 
 
-def _xlogx_estimate(p):
-    """_xlogx with np.log2 in place of math.log2, within 1 ulp of it in the log (see _SCREEN_TOL)."""
-    return np.where(p < XLOGX_FLOOR, 0.0, p * np.log2(np.maximum(p, XLOGX_FLOOR)))
-
-
 def _measure(rhos, thetas, phis):
     """The blocks of _spectra, the outcome probabilities P_j, shape (S, n, 2), and the conditional entropies, (S, n)."""
     blocks, spectra = _spectra(rhos, thetas, phis)
-    return blocks, spectra[0], _entropy_sum(spectra, _xlogx)
+    return blocks, spectra[0], _entropy_sum(spectra)
 
 
 def conditional_states(rho, basis):
@@ -282,9 +267,9 @@ def discord_profile_ranges(rho, thetas, phi=0.0):
     rho is one 4x4 state or an (S, 4, 4) stack.  This call validates the
     whole stack and runs its eigensolves, so every error a check or an
     entropy can raise comes from here, naming the state's position in the
-    whole stack.  values only measures: it calls numpy ufuncs and
-    math.log2, no BLAS or LAPACK routine, and each state's values are the
-    same bits in any range.
+    whole stack.  values only measures: it calls numpy ufuncs, no BLAS
+    or LAPACK routine, and each state's values are the same bits in any
+    range.
     """
     rhos, _ = _density_states(rho)
     parts, thetas = _discord_parts(rhos), np.reshape(thetas, -1)
@@ -321,24 +306,13 @@ def _phase_free(rhos):
 
 
 def _coarse_minimum(rhos, parts, grid):
-    """Each state's first grid argmin k and its discord there, as (S,) arrays, equal to those of the exact scan.
+    """Each state's first grid argmin k (a NaN's, in a row that holds one) and its discord there, as (S,) arrays.
 
-    Every grid discord is estimated with _xlogx_estimate, and the exact
-    _xlogx runs only on the candidates: the points whose estimate lies
-    within 2 * _SCREEN_TOL of their row's lowest, or every point of a row
-    that holds a NaN.  The others lie strictly above the row's exact
-    minimum, so argmin over the exact candidates finds the exact scan's k.
+    The scan holds one slice's grid discords at a time.
     """
     k, k_value = np.empty(len(rhos), dtype=np.intp), np.empty(len(rhos))
     for part in _slices(len(rhos)):
-        spectra = _spectra(rhos[part], grid, 0.0)[1]
-        estimate = _discord(parts[part], _entropy_sum(spectra, _xlogx_estimate))
-        # NaN compares False: a NaN row minimum keeps its whole row
-        candidate = np.flatnonzero(~(estimate > estimate.min(axis=1, keepdims=True) + 2.0 * _SCREEN_TOL))
-        # take on the flattened (state, angle) axis: a boolean mask costs several times more
-        cond = _entropy_sum([np.take(v.reshape(-1, 2), candidate, axis=0) for v in spectra], _xlogx)
-        values = np.full(estimate.shape, np.inf)
-        np.put(values, candidate, _discord(parts[part][candidate // len(grid)], cond[:, None]))
+        values = _discord(parts[part], _measure(rhos[part], grid, 0.0)[2])
         k[part] = np.argmin(values, axis=1)
         k_value[part] = values[np.arange(len(values)), k[part]]
     return k, k_value
@@ -365,8 +339,8 @@ def discord_min_ranges(rho):
     whole stack, runs its eigensolves and the phase probe, so every error a
     check, an entropy or the probe can raise comes from here, naming the
     state's position in the whole stack.  minimize only computes, with
-    numpy ufuncs and math.log2 and no BLAS or LAPACK routine, and each
-    state's result is the same in any range.
+    numpy ufuncs and no BLAS or LAPACK routine, and each state's result is
+    the same in any range.
     """
     rhos, stacked = _density_states(rho)
     parts = _discord_parts(rhos)
@@ -453,15 +427,8 @@ def zurek_discord(a, theta):
     """
     a = _unit_interval(a, "coherence parameter")
     g = np.sqrt(1.0 - (1.0 - a * a) * _squared(math.sin, 2.0 * np.asarray(theta, dtype=float)))
-    # _xlogx is elementwise: take each distinct g through the logs once
-    distinct, where = np.unique(g, return_inverse=True)
-    where = where.reshape(g.shape)  # numpy < 2 returns it flat
     return _scalar_or_array(
-        1.0
-        + _xlogx((1.0 + a) / 2.0)
-        + _xlogx((1.0 - a) / 2.0)
-        - _xlogx((1.0 + distinct) / 2.0)[where]
-        - _xlogx((1.0 - distinct) / 2.0)[where]
+        1.0 + _xlogx((1.0 + a) / 2.0) + _xlogx((1.0 - a) / 2.0) - _xlogx((1.0 + g) / 2.0) - _xlogx((1.0 - g) / 2.0)
     )
 
 

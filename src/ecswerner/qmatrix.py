@@ -297,13 +297,23 @@ def binary_entropy(p):
 
 
 def _xlogx(p):
-    """xlogx over an array, bit for bit: math.log2 on the entries it does not zero."""
+    """xlogx over an array, bit for bit; NaN stays NaN, as in xlogx."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape)
-    live = ~(p < XLOGX_FLOOR)  # NaN stays live, as in xlogx
-    vals = p[live]
-    out[live] = vals * np.fromiter(map(math.log2, vals.tolist()), dtype=float, count=vals.size)
-    return out
+    return np.where(p < XLOGX_FLOOR, 0.0, p * _log2(np.maximum(p, XLOGX_FLOOR)))
+
+
+def _log2(x):
+    """math.log2 of each entry of a float64 array, bit for bit.
+
+    numpy's float64 log2 calls libm's log2 per entry, as math.log2 does,
+    except in its SIMD loop (SVML on AVX-512 builds), which differs in the
+    last bit on about one argument in 500.  numpy takes that loop only for
+    operands with a positive stride, so the log runs over the reversed flat
+    view.  tests/test_qmatrix.py::test_xlogx_matches_scalar_where_simd_log2_differs
+    fails if a numpy build ever sends this call through SIMD.
+    """
+    backwards = np.ravel(x)[::-1]
+    return np.log2(backwards)[::-1].reshape(np.shape(x))
 
 
 def _scalar_or_array(x):

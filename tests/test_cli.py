@@ -648,8 +648,15 @@ def test_axis_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np, "linspace", linspace)
     out = tmp_path / "w.csv"
-    assert main(["werner-curves", "--a-steps", str(10**12), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {10**12} a values and 181 theta values do not fit in memory\n"
+    # the message names the axes the command builds: a command without a theta grid names only its a values
+    for argv, axes in [
+        (["werner-curves", "--a-steps", str(10**12)], f"{10**12} a values"),
+        (["quasi-curves", "--a-steps", str(10**12)], f"{10**12} a values"),
+        (["quasi-surface", "--family", "psi-", "--a-steps", str(10**12)], f"{10**12} a values"),
+        (["quasi-surface", "--theta-steps", str(10**12)], f"101 a values and {10**12} theta values"),
+    ]:
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {axes} do not fit in memory\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1125,8 +1132,8 @@ def test_curves_ranges_write_the_same_bytes(tmp_path, monkeypatch, fmt):
     # blocks of 4, ranges beginning at rows 7, and 5 and 10; the reference is
     # the same command on one CPU, which minimizes every state in this
     # process.  psi- states have the other zero pattern (rho_14 = 0, where
-    # psi+ has rho_23 = 0) and a profile flat in theta, so every grid point
-    # is a screening candidate
+    # psi+ has rho_23 = 0) and a profile flat in theta, whose grid minimum
+    # rests on last-bit differences and ties
     def written(cpus, family):
         out = tmp_path / f"{family}-{cpus}.{fmt}"
         with monkeypatch.context() as mp:

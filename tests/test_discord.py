@@ -649,7 +649,7 @@ def test_min_ranges_match_the_whole_minimization(states, data):
     assert result_hexes(part) == result_hexes(discord_min(stack)[lo:hi])
 
 
-# -- discord_min: the screened coarse scan and the structural phase test --------
+# -- discord_min: the coarse scan and the structural phase test -----------------
 
 def exact_scan(rhos, parts, grid):
     """The coarse scan as one exact pass: every grid discord, then each row's first argmin and its value."""
@@ -677,9 +677,10 @@ def complex_x_states(draw):
     return rho
 
 
-# library states whose lowest estimated and lowest exact grid discords lie
-# at different grid points (found by a search over the four families)
-SCREEN_SENSITIVE = (
+# library states whose lowest grid discord is reached, to within 1.2e-16, at
+# two grid points, so the scan's first argmin decides (found by a
+# search over the four families)
+CLOSE_MINIMA = (
     (0.13625118258762414, 8.612238187780266, StateFamily.PSI_MINUS),
     (0.02715373512239183, 1.5127941902634963, StateFamily.PSI_MINUS),
     (6.920593441383789e-07, 1.6413434770864046, StateFamily.PHI_PLUS),
@@ -690,7 +691,7 @@ SCREEN_SENSITIVE = (
 min_states = st.one_of(
     measured_states(),
     st.sampled_from([I4, quasi(0.0, 0.5), quasi(1e-6, 0.5), quasi(1e-6, 5.0, StateFamily.PHI_MINUS)]),
-    st.sampled_from(SCREEN_SENSITIVE).map(lambda args: quasi(*args)),
+    st.sampled_from(CLOSE_MINIMA).map(lambda args: quasi(*args)),
     st.builds(quasi, st.floats(0.0, 1.0), st.floats(1e-3, 20.0), st.sampled_from([StateFamily.PSI_MINUS, StateFamily.PHI_MINUS])),
     complex_x_states(),
 )
@@ -699,23 +700,18 @@ min_states = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(st.lists(min_states, min_size=MIN_SLICE_STATES + 1, max_size=40))
 def test_min_matches_the_exact_scan(states):
-    # the screened coarse scan finds the exact scan's k and value, so every
-    # field of every result is the same float, on stacks that cross the slice
-    # size and mix flat (Werner psi-/phi-, I/4), nearly flat (a = 1e-6) and
-    # complex states
+    # the coarse scan finds the exact scan's k and value, so every field of
+    # every result is the same float, on stacks that cross the slice size and
+    # mix flat (Werner psi-/phi-, I/4), nearly flat (a = 1e-6) and complex
+    # states
     stack = np.array(states)
     with mock.patch.object(discord, "_coarse_minimum", exact_scan):
         want = discord_min(stack)
     assert result_hexes(discord_min(stack)) == result_hexes(want)
 
 
-def test_min_matches_the_exact_scan_where_the_estimate_misplaces_the_minimum():
-    stack = np.array([quasi(*args) for args in SCREEN_SENSITIVE])
-    grid = np.linspace(0.0, math.pi, discord.THETA_COARSE_STEPS)
-    parts = discord._discord_parts(stack)
-    spectra = discord._spectra(stack, grid, 0.0)[1]
-    estimate = discord._discord(parts, discord._entropy_sum(spectra, discord._xlogx_estimate))
-    assert (np.argmin(estimate, axis=1) != exact_scan(stack, parts, grid)[0]).all()
+def test_min_matches_the_exact_scan_where_grid_minima_are_close():
+    stack = np.array([quasi(*args) for args in CLOSE_MINIMA])
     with mock.patch.object(discord, "_coarse_minimum", exact_scan):
         want = discord_min(stack)
     assert result_hexes(discord_min(stack)) == result_hexes(want)
@@ -723,16 +719,12 @@ def test_min_matches_the_exact_scan_where_the_estimate_misplaces_the_minimum():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(real_states(), min_size=1, max_size=20), st.lists(kernel_angles, min_size=1, max_size=30))
-def test_scan_estimate_is_within_its_bound(states, thetas):
-    # the np.log2 estimate stays a hundred times inside the screening
-    # tolerance, and the exact sum of the same spectra is the kernel's value
+def test_entropy_sum_of_the_spectra_is_the_kernel_value(states, thetas):
     rhos = require_density_stack(np.array(states, dtype=complex), dim=4)
     parts = discord._discord_parts(rhos)
     spectra = discord._spectra(rhos, thetas, 0.0)[1]
-    estimate = discord._discord(parts, discord._entropy_sum(spectra, discord._xlogx_estimate))
-    exact = discord._discord(parts, discord._entropy_sum(spectra, _xlogx))
+    exact = discord._discord(parts, discord._entropy_sum(spectra))
     assert hexes(exact) == hexes(discord_profile(rhos, thetas))
-    assert np.max(np.abs(estimate - exact)) <= discord._SCREEN_TOL / 100
 
 
 def real_x_state_with_two_pairs():
@@ -771,26 +763,24 @@ def test_two_pair_x_state_is_probed(k):
     assert str(info.value) == expected and info.value.index == k
 
 
-def test_sweep_min_skips_the_probe_and_screens_the_scan():
-    # the default quasi-curves stack: no complex einsum call (the phase
-    # probe's) and about a fifth of the exact xlogx values of a full scan
-    rhos = np.concatenate([werner_stack(StateFamily.PSI_PLUS, np.linspace(0.0, 1.0, 101), cat_params(mp))
-                           for mp in DEFAULT_ALPHA2])
-    subscripts, values = [], []
+def test_sweeps_skip_the_probe_and_take_no_log_one_value_at_a_time():
+    # the default quasi-curves stacks of psi+ and of psi- (flat in theta)
+    # and the default zurek-surface grid: no complex einsum call (the phase
+    # probe's), and every log2 goes through numpy, none through math.log2
+    rhos = np.concatenate([werner_stack(family, np.linspace(0.0, 1.0, 101), cat_params(mp))
+                           for family in (StateFamily.PSI_PLUS, StateFamily.PSI_MINUS) for mp in DEFAULT_ALPHA2])
+    subscripts = []
     real_einsum = np.einsum
 
     def einsum(spec, *operands, **kwargs):
         subscripts.append(spec)
         return real_einsum(spec, *operands, **kwargs)
 
-    def counting_xlogx(p):
-        values.append(np.size(p))
-        return _xlogx(p)
-
-    with mock.patch.object(discord.np, "einsum", einsum), mock.patch.object(discord, "_xlogx", counting_xlogx):
+    with mock.patch.object(discord.np, "einsum", einsum), \
+            mock.patch.object(qmatrix.math, "log2", side_effect=AssertionError("math.log2 called")):
         discord_min(rhos)
+        zurek_discord(np.linspace(0.0, 1.0, 1001)[:, None], np.linspace(-math.pi, math.pi, 361))
     assert "sabcd,snjb,snjd->snjac" not in subscripts
-    assert 0 < sum(values) <= 150_000
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -959,7 +949,7 @@ def test_closed_forms_over_arrays_match_scalar(a_values, mp, theta_values):
 
 
 def array_reference_zurek(a, theta):
-    """zurek_discord with every g taken through the logs, as before it took each distinct g once."""
+    """zurek_discord written out over arrays from the array xlogx."""
     a = np.asarray(a, dtype=float)
     g = np.sqrt(1.0 - (1.0 - a * a) * discord._squared(math.sin, 2.0 * np.asarray(theta, dtype=float)))
     return discord._scalar_or_array(
@@ -992,20 +982,6 @@ def test_zurek_matches_the_every_g_reference(a, theta):
     got, want = zurek_discord(a, theta), array_reference_zurek(a, theta)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert hexes(got) == hexes(want)
-
-
-def test_zurek_default_grid_takes_distinct_g_through_the_logs():
-    # the default zurek-surface grid: 361,361 points, 126,503 distinct g,
-    # so 2 x 126,503 + 2 x 1,001 values in place of 724,724
-    values = []
-
-    def counting_xlogx(p):
-        values.append(np.size(p))
-        return _xlogx(p)
-
-    with mock.patch.object(discord, "_xlogx", counting_xlogx):
-        zurek_discord(np.linspace(0.0, 1.0, 1001)[:, None], np.linspace(-math.pi, math.pi, 361))
-    assert 0 < sum(values) <= 260_000
 
 
 @settings(max_examples=80, deadline=None)

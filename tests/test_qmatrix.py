@@ -1,3 +1,7 @@
+import math
+import platform
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,9 @@ from ecswerner.qmatrix import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    XLOGX_FLOOR,
     NumericalIntegrityError,
+    _xlogx,
     density_from_vector,
     eigvals_general_product,
     eigvals_hermitian,
@@ -17,7 +23,13 @@ from ecswerner.qmatrix import (
     require_density_stack,
     tensor,
     von_neumann_entropy,
+    xlogx,
 )
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -310,3 +322,42 @@ def test_projector_construction_is_hermitian(family):
     v = ecs_vector(family, cat_params(0.7))
     rho = density_from_vector(v)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+
+
+# -- xlogx over arrays ---------------------------------------------------------
+
+# numpy links SVML, whose float64 log2 differs from libm's, into its Linux x86-64 builds, and runs it on AVX-512 CPUs
+SVML = sys.platform == "linux" and platform.machine() == "x86_64" and __cpu_features__.get("AVX512_SKX", False)
+
+
+def xlogx_hexes(p):
+    return [v.hex() for v in np.ravel(_xlogx(p)).tolist()]
+
+
+def scalar_hexes(p):
+    return [xlogx(v).hex() for v in np.ravel(p).tolist()]
+
+
+def test_xlogx_matches_scalar_where_simd_log2_differs():
+    # _xlogx takes its logs through numpy's scalar loop, which calls libm's
+    # log2 as math.log2 does; numpy's SIMD loop (SVML) differs from it in
+    # the last bit on about one value in 500, so a numpy that ever sends
+    # the call through SIMD fails here
+    p = np.random.default_rng(32).uniform(0.0, 1.0, 250_000)
+    p = p[p > 0.0]
+    assert xlogx_hexes(p) == scalar_hexes(p)
+    differs = p[np.log2(p) != np.array([math.log2(v) for v in p.tolist()])]
+    if SVML:
+        assert differs.size  # these values do test the SIMD path
+    # the values where plain np.log2 differs, at lengths 0, 1, 2 and 17, as
+    # a 0-d array, as an (S, n, 2) stack and as a strided view of one
+    sample = np.resize(differs if differs.size else p, 200)
+    stack = sample.reshape(2, 50, 2)
+    for shaped in (sample[:0], sample[:1], sample[:2], sample[:17], sample[0, ...], stack, stack[:, ::-3]):
+        assert xlogx_hexes(shaped) == scalar_hexes(shaped)
+        assert np.shape(_xlogx(shaped)) == np.shape(shaped)
+    # the floor, the values either side of it, subnormals and the non-finite
+    below = np.nextafter(XLOGX_FLOOR, 0.0)
+    special = np.array([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1.0, 2.0, XLOGX_FLOOR, below, below / 2.0,
+                        np.nextafter(XLOGX_FLOOR, 1.0), 5e-324, 2.2250738585072014e-308])
+    assert xlogx_hexes(special) == scalar_hexes(special)
