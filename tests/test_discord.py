@@ -678,8 +678,8 @@ def complex_x_states(draw):
 
 
 # library states whose lowest grid discord is reached, to within 1.2e-16, at
-# two grid points, so the scan's first argmin decides (found by a
-# search over the four families)
+# two grid points, so the scan's first argmin decides (found by a search
+# over the four families)
 CLOSE_MINIMA = (
     (0.13625118258762414, 8.612238187780266, StateFamily.PSI_MINUS),
     (0.02715373512239183, 1.5127941902634963, StateFamily.PSI_MINUS),
