@@ -763,24 +763,28 @@ def test_two_pair_x_state_is_probed(k):
     assert str(info.value) == expected and info.value.index == k
 
 
-def test_sweeps_skip_the_probe_and_take_no_log_one_value_at_a_time():
-    # the default quasi-curves stacks of psi+ and of psi- (flat in theta)
-    # and the default zurek-surface grid: no complex einsum call (the phase
-    # probe's), and every log2 goes through numpy, none through math.log2
+def test_sweep_min_skips_the_probe_and_screens_the_scan():
+    # the default quasi-curves stacks of psi+ and of psi- (flat in theta):
+    # no complex einsum call (the phase probe's), and the scan takes every
+    # log2 through numpy, none through math.log2
     rhos = np.concatenate([werner_stack(family, np.linspace(0.0, 1.0, 101), cat_params(mp))
                            for family in (StateFamily.PSI_PLUS, StateFamily.PSI_MINUS) for mp in DEFAULT_ALPHA2])
-    subscripts = []
+    subscripts, values = [], []
     real_einsum = np.einsum
 
     def einsum(spec, *operands, **kwargs):
         subscripts.append(spec)
         return real_einsum(spec, *operands, **kwargs)
 
-    with mock.patch.object(discord.np, "einsum", einsum), \
+    def counting_xlogx(p):
+        values.append(np.size(p))
+        return _xlogx(p)
+
+    with mock.patch.object(discord.np, "einsum", einsum), mock.patch.object(discord, "_xlogx", counting_xlogx), \
             mock.patch.object(qmatrix.math, "log2", side_effect=AssertionError("math.log2 called")):
         discord_min(rhos)
-        zurek_discord(np.linspace(0.0, 1.0, 1001)[:, None], np.linspace(-math.pi, math.pi, 361))
     assert "sabcd,snjb,snjd->snjac" not in subscripts
+    assert sum(values) > 0
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -982,6 +986,22 @@ def test_zurek_matches_the_every_g_reference(a, theta):
     got, want = zurek_discord(a, theta), array_reference_zurek(a, theta)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert hexes(got) == hexes(want)
+
+
+def test_zurek_default_grid_takes_distinct_g_through_the_logs():
+    # the default zurek-surface grid: 361,361 points, each g through the
+    # logs once, so 2 x 361,361 + 2 x 1,001 values, all through numpy's
+    # log2 and none through math.log2
+    values = []
+
+    def counting_xlogx(p):
+        values.append(np.size(p))
+        return _xlogx(p)
+
+    with mock.patch.object(discord, "_xlogx", counting_xlogx), \
+            mock.patch.object(qmatrix.math, "log2", side_effect=AssertionError("math.log2 called")):
+        zurek_discord(np.linspace(0.0, 1.0, 1001)[:, None], np.linspace(-math.pi, math.pi, 361))
+    assert sum(values) == 2 * 361 * 1001 + 2 * 1001
 
 
 @settings(max_examples=80, deadline=None)
