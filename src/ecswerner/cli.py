@@ -118,7 +118,7 @@ def quasi_curves_rows(cfg):
     e = np.concatenate([eof(_closed_concurrence(cfg.family, cfg.a_grid, p)) for p in cfg.params])
 
     def values(lo, hi):
-        delta = np.array([res.value for res in minimize(lo, hi)])
+        delta = minimize(lo, hi)[0]
         return [e[lo:hi], delta, delta - e[lo:hi]]
 
     return columns, Table([cfg.mean_photon_list, cfg.a_grid], values)
@@ -135,7 +135,6 @@ MIN_RANGE_ROWS = 256
 
 # a CSV float's text is "%.15g" % x; float.__format__ runs the same routine with less work per value
 _FLOAT_SPEC = ".15g"
-_fmt = ("%" + _FLOAT_SPEC).__mod__
 
 
 def _format_column(values, spec, key):
@@ -440,8 +439,8 @@ def build_config(args):
 def _span(name, values):
     """name = v for one value, name in [first, last] for several."""
     if len(values) == 1:
-        return f"{name} = {_fmt(values[0])}"
-    return f"{name} in [{_fmt(values[0])}, {_fmt(values[-1])}]"
+        return f"{name} = {values[0]:{_FLOAT_SPEC}}"
+    return f"{name} in [{values[0]:{_FLOAT_SPEC}}, {values[-1]:{_FLOAT_SPEC}}]"
 
 
 def run_sweep(args):
@@ -474,7 +473,7 @@ def run_sweep(args):
             where = f"{_span('|alpha|^2', mean_photons)}, {_span('a', a_grid)}"
         else:
             m, k = divmod(index, len(a_grid))
-            where = f"|alpha|^2 = {_fmt(mean_photons[m])}, a = {_fmt(a_grid[k])}"
+            where = f"|alpha|^2 = {mean_photons[m]:{_FLOAT_SPEC}}, a = {a_grid[k]:{_FLOAT_SPEC}}"
         print(f"error: numerical failure at {where}: {exc}", file=sys.stderr)
         return 4
     except MemoryError:

@@ -223,24 +223,17 @@ def _discord(parts, cond):
     return parts[:, 1:] - (parts[:, :1] - cond)
 
 
-def _result(parts, k, theta, probs, cond):
-    """DiscordResult of state k measured at theta, with its P_j and conditional entropy."""
-    s_x, mutual = parts[k].tolist()
-    classical = s_x - cond
-    return DiscordResult(
-        value=mutual - classical,
-        theta_min=theta,
-        mutual_info=mutual,
-        classical_corr=classical,
-        probabilities=tuple(probs),
-    )
+def _results(*fields):
+    """A DiscordResult per state from its fields as arrays of S entries, in field order, with P_j of shape (S, 2)."""
+    return [DiscordResult(*row[:4], tuple(row[4])) for row in zip(*(np.asarray(f).tolist() for f in fields))]
 
 
 def discord_at(rho, basis):
     """Discord of rho for one fixed measurement basis on Y."""
     rhos = require_density_matrix(rho, dim=4)[None]
     _, probs, cond = _measure(rhos, [basis.theta], basis.phi)
-    return _result(_discord_parts(rhos), 0, basis.theta, probs[0, 0].tolist(), float(cond[0, 0]))
+    parts = _discord_parts(rhos)
+    return _results(_discord(parts, cond)[:, 0], [basis.theta], parts[:, 1], parts[:, 0] - cond[:, 0], probs[:, 0])[0]
 
 
 def discord_profile(rho, thetas, phi=0.0):
@@ -329,11 +322,16 @@ def discord_min(rho):
     moves with the phase.  theta is then minimized by a coarse scan of
     [0, pi] and a golden-section refinement.
     """
-    return _of_every_state(discord_min_ranges(rho), rho)
+    minimize = discord_min_ranges(rho)
+    return _of_every_state(lambda lo, hi: _results(*minimize(lo, hi)), rho)
 
 
 def discord_min_ranges(rho):
-    """discord_min as a function of a range of states: minimize(lo, hi) is the list of results of states lo to hi - 1.
+    """discord_min as a function of a range of states: minimize(lo, hi) is the results of states lo to hi - 1 as arrays.
+
+    The arrays are the DiscordResult fields in order: value, theta_min,
+    mutual_info and classical_corr of shape (S,), and the probabilities
+    P_j of shape (S, 2).
 
     rho is one 4x4 state or an (S, 4, 4) stack.  This call validates the
     whole stack, runs its eigensolves and the phase probe, so every error a
@@ -369,7 +367,7 @@ def discord_min_ranges(rho):
 
 
 def _minimize(rhos, parts, grid):
-    """The DiscordResult of each state at its theta minimum: the coarse scan on grid, the golden section, the final evaluation."""
+    """The DiscordResult fields of each state at its theta minimum, as arrays: the coarse scan on grid, the golden section, the final evaluation."""
     k, k_value = _coarse_minimum(rhos, parts, grid)
 
     # golden-section search on [grid[k-1], grid[k+1]], one kernel call per
@@ -395,11 +393,9 @@ def _minimize(rhos, parts, grid):
     # the refined midpoint unless the grid point is strictly better
     final = np.stack([(a + b) / 2.0, grid[k]], axis=1)
     _, probs, cond = _measure(rhos, final, 0.0)
-    pick = (k_value < _discord(parts, cond)[:, 0]).astype(int)
-    return [
-        _result(parts, i, float(final[i, j]), probs[i, j].tolist(), float(cond[i, j]))
-        for i, j in enumerate(pick)
-    ]
+    values = _discord(parts, cond)
+    at = (np.arange(len(k)), (k_value < values[:, 0]).astype(int))
+    return values[at], final[at], parts[:, 1], parts[:, 0] - cond[at], probs[at]
 
 
 def zurek_density(a):
@@ -432,18 +428,23 @@ def zurek_discord(a, theta):
     )
 
 
+def _quasi_probabilities(a, p, theta):
+    """a as a float array and the arrays (P_0, P_1), raising ValueError unless a lies in [0, 1] and TypeError unless p is CatParams."""
+    a = _unit_interval(a, "mixing parameter")
+    if not isinstance(p, CatParams):
+        raise TypeError(f"p must be CatParams, got {type(p).__name__}")
+    w1, w4 = _corner_weights(1.0, p)
+    c2 = _squared(math.cos, theta)
+    s2 = _squared(math.sin, theta)
+    return a, ((1.0 - a) / 2.0 + a * (c2 * w1 + s2 * w4), (1.0 - a) / 2.0 + a * (c2 * w4 + s2 * w1))
+
+
 def quasi_probabilities(a, p, theta):
     """Outcome probabilities (P_0, P_1) for the quasi-Werner measurement.
 
     a and theta broadcast together; scalars give two floats.
     """
-    a = np.asarray(a, dtype=float)
-    w1, w4 = _corner_weights(1.0, p)
-    c2 = _squared(math.cos, theta)
-    s2 = _squared(math.sin, theta)
-    p0 = (1.0 - a) / 2.0 + a * (c2 * w1 + s2 * w4)
-    p1 = (1.0 - a) / 2.0 + a * (c2 * w4 + s2 * w1)
-    return _scalar_or_array(p0), _scalar_or_array(p1)
+    return tuple(map(_scalar_or_array, _quasi_probabilities(a, p, theta)[1]))
 
 
 def discord_quasi_closed(a, p, theta):
@@ -454,13 +455,11 @@ def discord_quasi_closed(a, p, theta):
     brute-force pipeline on werner_density to 1e-9.  a and theta broadcast
     together; scalars give a float.
     """
-    a = _unit_interval(a, "mixing parameter")
-    if not isinstance(p, CatParams):
-        raise TypeError(f"p must be CatParams, got {type(p).__name__}")
+    a, probs = _quasi_probabilities(a, p, theta)
     w1, w4 = _corner_weights(a, p)
     d = -_xlogx((1.0 - a) / 2.0 + w1) - _xlogx((1.0 - a) / 2.0 + w4)
     d = d + (3.0 * _xlogx((1.0 - a) / 4.0) + _xlogx((1.0 + 3.0 * a) / 4.0))
-    for prob in quasi_probabilities(a, p, theta):
+    for prob in probs:
         # a branch below DEGENERATE_PROB contributes nothing
         live = prob >= DEGENERATE_PROB
         c = (1.0 - a) / (4.0 * np.where(live, prob, 1.0))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ecswerner import cli
+from ecswerner import cli, discord
 from ecswerner.cli import main, write_rows
 
 # the verification suite is exercised once (it is a few seconds of grid work)
@@ -210,8 +210,14 @@ GOLDEN_SHA256 = {
 VERIFY_SHA256 = "00da555e2dfbe982c9230a51fd2ba53dc2023b31c24b32ac6fda6f99e8a4b857"
 
 
+def no_discord_result(*args, **kwargs):
+    raise AssertionError("a sweep built a DiscordResult")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
-def test_output_is_byte_identical_to_golden(tmp_path, name):
+def test_output_is_byte_identical_to_golden(tmp_path, monkeypatch, name):
+    # the sweeps write the minimizer's arrays and build no DiscordResult
+    monkeypatch.setattr(discord, "DiscordResult", no_discord_result)
     argv, digest = GOLDEN_SHA256[name]
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -1133,11 +1139,13 @@ def test_curves_ranges_write_the_same_bytes(tmp_path, monkeypatch, fmt):
     # the same command on one CPU, which minimizes every state in this
     # process.  psi- states have the other zero pattern (rho_14 = 0, where
     # psi+ has rho_23 = 0) and a profile flat in theta, whose grid minimum
-    # rests on last-bit differences and ties
+    # rests on last-bit differences and ties.  No process builds a
+    # DiscordResult: the rows are the minimizer's arrays
     def written(cpus, family):
         out = tmp_path / f"{family}-{cpus}.{fmt}"
         with monkeypatch.context() as mp:
             mp.setattr(cli, "_cpu_count", lambda: cpus)
+            mp.setattr(discord, "DiscordResult", no_discord_result)
             if cpus > 1:
                 mp.setattr(cli, "WRITE_BLOCK_ROWS", 4)
                 mp.setattr(cli, "MIN_RANGE_ROWS", 1)

@@ -637,16 +637,19 @@ def test_stacked_min_of_empty_stack():
 @settings(max_examples=20, deadline=None)
 @given(st.lists(measured_states(), min_size=1, max_size=40), st.data())
 def test_min_ranges_match_the_whole_minimization(states, data):
-    # any range of states gets exactly its results of the whole minimization,
-    # field for field, and minimizes without an eigensolve: every one ran
-    # when the ranges were made
+    # any range of states gets exactly its rows of the whole minimization's
+    # field arrays, which are discord_min's results field for field, and
+    # minimizes without an eigensolve: every one ran when the ranges were made
     stack = np.array(states, dtype=complex)
     minimize = discord_min_ranges(stack)
     lo = data.draw(st.integers(0, len(states)))
     hi = data.draw(st.integers(lo, len(states)))
     with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigensolve in a range")):
         part = minimize(lo, hi)
-    assert result_hexes(part) == result_hexes(discord_min(stack)[lo:hi])
+    whole = minimize(0, len(states))
+    assert [np.shape(field) for field in part] == [(hi - lo,)] * 4 + [(hi - lo, 2)]
+    assert [hexes(field) for field in part] == [hexes(field[lo:hi]) for field in whole]
+    assert result_hexes(discord_min(stack)[lo:hi]) == [hexes([*row[:4], *row[4]]) for row in zip(*part)]
 
 
 # -- discord_min: the coarse scan and the structural phase test -----------------
@@ -715,6 +718,46 @@ def test_min_matches_the_exact_scan_where_grid_minima_are_close():
     with mock.patch.object(discord, "_coarse_minimum", exact_scan):
         want = discord_min(stack)
     assert result_hexes(discord_min(stack)) == result_hexes(want)
+
+
+def bell_diagonal(c, c3):
+    """(I + c (XX + YY) + c3 ZZ) / 4, an X state with one coherence pair, rho_23 = c / 2."""
+    rho = np.diag([1.0 + c3, 1.0 - c3, 1.0 - c3, 1.0 + c3]).astype(complex) / 4.0
+    rho[1, 2] = rho[2, 1] = c / 2.0
+    return rho
+
+
+quasi_specs = st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 400.0), st.sampled_from(list(StateFamily)))
+# (c, c3) with |c| <= (1 - c3) / 2, so that bell_diagonal(c, c3) is positive
+bell_specs = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(lambda f: (f[0] * (1.0 - f[1]) / 2.0, f[1]))
+
+# theta on [0, pi] in quarter degrees, 0 and pi/2 among them
+EXACT_SCAN_THETAS = np.linspace(0.0, math.pi, 721)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(quasi_specs, min_size=MIN_SLICE_STATES + 1, max_size=40), st.lists(bell_specs, min_size=1, max_size=4))
+@example(
+    specs=[(1e-6, 0.5, StateFamily.PSI_PLUS), (1e-6, 5.0, StateFamily.PHI_MINUS), (1.0, 400.0, StateFamily.PHI_PLUS)] * 6,
+    bells=[(0.4, 0.1)],
+)
+def test_min_matches_the_closed_forms(specs, bells):
+    # each minimum against formulas that share no code with the minimizer:
+    # a scan of the closed form for psi+/phi+, the theta-free Werner discord
+    # for psi-/phi- (the largest deviation seen is 1.4e-15), and for the
+    # Bell-diagonal states the lower of sigma_z (theta = 0) and sigma_x
+    # (theta = pi/4) by the scalar arithmetic, one of which is optimal when
+    # c1 = c2 (Luo, PRA 77, 042303, 2008); where |c| > |c3| sigma_x wins, a
+    # minimum strictly inside (0, pi/2) that the first grid point misses
+    want = [
+        float(np.min(discord_quasi_closed(a, cat_params(mp), EXACT_SCAN_THETAS)))
+        if family in (StateFamily.PSI_PLUS, StateFamily.PHI_PLUS)
+        else werner_discord_closed(a)
+        for a, mp, family in specs
+    ]
+    want += [min(scalar_reference_discord(bell_diagonal(*b), t, 0.0) for t in (0.0, math.pi / 4.0)) for b in bells]
+    stack = np.array([quasi(*spec) for spec in specs] + [bell_diagonal(*b) for b in bells])
+    assert np.max(np.abs(np.array([res.value for res in discord_min(stack)]) - want)) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -1029,6 +1072,14 @@ def test_closed_forms_reject_bad_entry_in_array(bad):
         zurek_density(a)
     with pytest.raises(ValueError, match="must lie in"):
         discord_quasi_closed(a[:, None], cat_params(1.0), THETA_GRID)
+    with pytest.raises(ValueError, match="mixing parameter must lie in"):
+        quasi_probabilities(a[:, None], cat_params(1.0), THETA_GRID)
+
+
+@pytest.mark.parametrize("closed_form", [discord_quasi_closed, quasi_probabilities])
+def test_quasi_closed_forms_reject_bad_params(closed_form):
+    with pytest.raises(TypeError, match="^p must be CatParams, got float$"):
+        closed_form(0.5, 1.0, 0.3)
 
 
 # -- invariants -----------------------------------------------------------------
