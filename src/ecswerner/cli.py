@@ -468,7 +468,7 @@ def run_sweep(args):
         columns, rows = globals()[cfg.command.replace("-", "_") + "_rows"](cfg)
         write_rows(cfg.output_path, cfg.format, columns, rows)
     except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
-        index = 0 if len(mean_photons) * len(a_grid) == 1 else getattr(exc, "index", None)
+        index = getattr(exc, "index", None)
         if index is None:
             where = f"{_span('|alpha|^2', mean_photons)}, {_span('a', a_grid)}"
         else:

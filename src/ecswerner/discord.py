@@ -20,7 +20,9 @@ from .qmatrix import (
     NumericalIntegrityError,
     _density_states,
     _entropy,
+    _finite,
     _partial_trace,
+    _results,
     _scalar_or_array,
     _unit_interval,
     _xlogx,
@@ -76,6 +78,10 @@ class MeasurementBasis:
 
     theta: float
     phi: float = 0.0
+
+    def __post_init__(self):
+        _finite(self.theta, "measurement angle")
+        _finite(self.phi, "measurement angle")
 
     def projector_vectors(self):
         return tuple(_projectors(self.theta, self.phi))
@@ -223,17 +229,16 @@ def _discord(parts, cond):
     return parts[:, 1:] - (parts[:, :1] - cond)
 
 
-def _results(*fields):
-    """A DiscordResult per state from its fields as arrays of S entries, in field order, with P_j of shape (S, 2)."""
-    return [DiscordResult(*row[:4], tuple(row[4])) for row in zip(*(np.asarray(f).tolist() for f in fields))]
+def _at(rhos, parts, thetas, phis):
+    """The DiscordResult fields, as arrays in field order, of each state s at its own angle thetas[s] (phis broadcasts to (S,))."""
+    _, probs, cond = _measure(rhos, thetas[:, None], phis)
+    return _discord(parts, cond)[:, 0], thetas, parts[:, 1], parts[:, 0] - cond[:, 0], probs[:, 0]
 
 
 def discord_at(rho, basis):
     """Discord of rho for one fixed measurement basis on Y."""
     rhos = require_density_matrix(rho, dim=4)[None]
-    _, probs, cond = _measure(rhos, [basis.theta], basis.phi)
-    parts = _discord_parts(rhos)
-    return _results(_discord(parts, cond)[:, 0], [basis.theta], parts[:, 1], parts[:, 0] - cond[:, 0], probs[:, 0])[0]
+    return _results(DiscordResult, *_at(rhos, _discord_parts(rhos), np.array([basis.theta]), basis.phi))[0]
 
 
 def discord_profile(rho, thetas, phi=0.0):
@@ -265,7 +270,9 @@ def discord_profile_ranges(rho, thetas, phi=0.0):
     range.
     """
     rhos, _ = _density_states(rho)
-    parts, thetas = _discord_parts(rhos), np.reshape(thetas, -1)
+    thetas = _finite(np.reshape(thetas, -1), "measurement angle")
+    _finite(phi, "measurement angle")
+    parts = _discord_parts(rhos)
     return lambda lo, hi: _sliced_discord(rhos[lo:hi], parts[lo:hi], thetas, phi)
 
 
@@ -323,7 +330,7 @@ def discord_min(rho):
     [0, pi] and a golden-section refinement.
     """
     minimize = discord_min_ranges(rho)
-    return _of_every_state(lambda lo, hi: _results(*minimize(lo, hi)), rho)
+    return _of_every_state(lambda lo, hi: _results(DiscordResult, *minimize(lo, hi)), rho)
 
 
 def discord_min_ranges(rho):
@@ -391,11 +398,9 @@ def _minimize(rhos, parts, grid):
         live = live[nb - na > THETA_REFINE_TOL]
 
     # the refined midpoint unless the grid point is strictly better
-    final = np.stack([(a + b) / 2.0, grid[k]], axis=1)
-    _, probs, cond = _measure(rhos, final, 0.0)
-    values = _discord(parts, cond)
-    at = (np.arange(len(k)), (k_value < values[:, 0]).astype(int))
-    return values[at], final[at], parts[:, 1], parts[:, 0] - cond[at], probs[at]
+    mid = (a + b) / 2.0
+    f_mid = _discord(parts, _measure(rhos, mid[:, None], 0.0)[2])[:, 0]
+    return _at(rhos, parts, np.where(k_value < f_mid, grid[k], mid), 0.0)
 
 
 def zurek_density(a):
@@ -422,17 +427,18 @@ def zurek_discord(a, theta):
     a float.
     """
     a = _unit_interval(a, "coherence parameter")
-    g = np.sqrt(1.0 - (1.0 - a * a) * _squared(math.sin, 2.0 * np.asarray(theta, dtype=float)))
+    g = np.sqrt(1.0 - (1.0 - a * a) * _squared(math.sin, 2.0 * _finite(theta, "measurement angle")))
     return _scalar_or_array(
         1.0 + _xlogx((1.0 + a) / 2.0) + _xlogx((1.0 - a) / 2.0) - _xlogx((1.0 + g) / 2.0) - _xlogx((1.0 - g) / 2.0)
     )
 
 
 def _quasi_probabilities(a, p, theta):
-    """a as a float array and the arrays (P_0, P_1), raising ValueError unless a lies in [0, 1] and TypeError unless p is CatParams."""
+    """a as a float array and the arrays (P_0, P_1), raising ValueError unless a lies in [0, 1] and theta is finite and TypeError unless p is CatParams."""
     a = _unit_interval(a, "mixing parameter")
     if not isinstance(p, CatParams):
         raise TypeError(f"p must be CatParams, got {type(p).__name__}")
+    theta = _finite(theta, "measurement angle")
     w1, w4 = _corner_weights(1.0, p)
     c2 = _squared(math.cos, theta)
     s2 = _squared(math.sin, theta)

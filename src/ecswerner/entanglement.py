@@ -14,6 +14,7 @@ from .qmatrix import (
     SIGMA_Y,
     _density_states,
     _product_spectrum,
+    _results,
     _unit_interval,
     binary_entropy,
     tensor,
@@ -27,7 +28,7 @@ _SY_SY = tensor(SIGMA_Y, SIGMA_Y)
 class EntanglementResult:
     concurrence: float
     eof: float
-    lambdas: np.ndarray  # the four spin-flip eigenvalues, descending
+    lambdas: tuple  # the four spin-flip eigenvalues, descending
 
 
 def spin_flip(rho):
@@ -47,10 +48,7 @@ def concurrence_mixed(rho):
     flipped = spin_flip(rho)
     lams = np.sqrt(_product_spectrum(np.asarray(rho, dtype=complex), flipped)).reshape(-1, 4)
     c = _wootters(lams)
-    results = [
-        EntanglementResult(concurrence=ck, eof=ek, lambdas=lam)
-        for ck, ek, lam in zip(c.tolist(), eof(c).tolist(), lams)
-    ]
+    results = _results(EntanglementResult, c, eof(c), lams)
     return results if flipped.ndim == 3 else results[0]
 
 

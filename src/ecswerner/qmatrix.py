@@ -74,7 +74,7 @@ def _raise_first(checks, stacked):
 def _hermiticity_check(m, name):
     """The Hermiticity check (max |M - M^dag| within HERMITICITY_TOL) of each matrix of a stack."""
     defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    return defect > HERMITICITY_TOL, lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})"
+    return ~(defect <= HERMITICITY_TOL), lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})"
 
 
 def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
@@ -86,7 +86,7 @@ def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
     checks = [_hermiticity_check(m, name)]
     if dim is not None and m.shape[-1] != dim:
         checks.append((np.ones(len(m), dtype=bool), lambda k: wrong_dim))
-    checks.append((np.abs(tr - 1.0) > TRACE_TOL, lambda k: f"{name} must have unit trace, got {float(tr[k])!r}"))
+    checks.append((~(np.abs(tr - 1.0) <= TRACE_TOL), lambda k: f"{name} must have unit trace, got {float(tr[k])!r}"))
     return checks
 
 
@@ -97,6 +97,15 @@ def _unit_interval(a, what, tol=0.0):
     if bad.any():
         raise ValueError(f"{what} must lie in [0, 1], got {float(a[bad][0])!r}")
     return a
+
+
+def _finite(x, what):
+    """x as a float array, raising ValueError unless every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"{what} must be finite, got {float(x[bad][0])!r}")
+    return x
 
 
 def _eigvalsh(m):
@@ -164,7 +173,7 @@ def _unit_vector(v):
     """v as a flat complex vector, raising ValueError unless its norm is 1 within 1e-12."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"state vector must be normalized, got |v| = {norm!r}")
     return v
 
@@ -319,6 +328,11 @@ def _log2(x):
 def _scalar_or_array(x):
     """A 0-d result as a Python float, any other as the array."""
     return float(x) if x.ndim == 0 else x
+
+
+def _results(cls, *fields):
+    """A cls per state from its fields as arrays of S entries, in field order; the last, of shape (S, n), as a tuple."""
+    return [cls(*row[:-1], tuple(row[-1])) for row in zip(*(np.asarray(f).tolist() for f in fields))]
 
 
 def von_neumann_entropy(rho):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -56,6 +57,11 @@ WERNER_AT_THIRD = 0.12581458369391152
 
 def quasi(a, mp, family=StateFamily.PSI_PLUS):
     return werner_density(WernerSpec(family, a, cat_params(mp)))
+
+
+def results_sha256(results):
+    """sha256 of the repr of results: a float's repr round-trips, so it pins every bit and each field's type."""
+    return hashlib.sha256(repr(results).encode()).hexdigest()
 
 
 # -- measurement basis ---------------------------------------------------------
@@ -194,6 +200,34 @@ def test_discord_fully_mixed_is_zero(theta):
 def test_discord_pure_werner_is_one(theta):
     rho = werner_density(WernerSpec(StateFamily.PHI_MINUS, 1.0, cat_params(0.5)))
     assert abs(discord_at(rho, MeasurementBasis(theta)).value - 1.0) < 1e-9
+
+
+# results_sha256 of discord_at on the states and bases below, and of
+# discord_min on mixed_stack(): the fields of a state at one angle, pinned
+# bit for bit
+DISCORD_AT_SHA256 = "2f5a6c1e160b06d696f1905ed0f790c12f209cd5017e8bc9b932e2dfdf395ddd"
+DISCORD_MIN_SHA256 = "bae5a15751c18679e4e7d1aaf12d6ad43a94e3f1ad828e6a7a1024858b09badf"
+
+
+def test_discord_at_fields_are_pinned():
+    states = [quasi(0.7, 1.0), quasi(0.4, 0.2, StateFamily.PHI_MINUS), zurek_density(0.6)]
+    # an int theta stays an int, and phi != 0 takes the complex kernel
+    bases = [MeasurementBasis(0.0), MeasurementBasis(1), MeasurementBasis(0.3, 1.2), MeasurementBasis(2.5, 0.4),
+             MeasurementBasis(math.pi / 4)]
+    results = [discord_at(rho, basis) for rho in states for basis in bases]
+    assert type(results[1].theta_min) is int
+    assert results_sha256(results) == DISCORD_AT_SHA256
+
+
+def mixed_stack():
+    """501 states: every family at 4 mean photon numbers x 25 mixing weights, then 101 einselection states."""
+    a = np.linspace(0.0, 1.0, 25)
+    stacks = [werner_stack(family, a, cat_params(mp)) for family in StateFamily for mp in (0.01, 0.5, 2.0, 7.0)]
+    return np.concatenate(stacks + [zurek_density(np.linspace(0.0, 1.0, 101))])
+
+
+def test_discord_min_fields_are_pinned():
+    assert results_sha256(discord_min(mixed_stack())) == DISCORD_MIN_SHA256
 
 
 def test_discord_result_invariants():
@@ -849,6 +883,29 @@ def test_zurek_matches_pipeline():
         for theta in (0.0, math.pi / 8.0, 1.0, 2.5):
             piped = discord_at(rho, MeasurementBasis(theta, 1.0)).value
             assert abs(zurek_discord(a, theta) - piped) < 1e-9
+
+
+NON_FINITE_ANGLE_CALLS = {
+    "MeasurementBasis theta": lambda x: MeasurementBasis(x),
+    "MeasurementBasis phi": lambda x: MeasurementBasis(0.3, x),
+    "discord_at": lambda x: discord_at(quasi(0.7, 1.0), MeasurementBasis(x)),
+    "conditional_states": lambda x: conditional_states(quasi(0.7, 1.0), MeasurementBasis(0.3, x)),
+    "discord_profile theta": lambda x: discord_profile(quasi(0.7, 1.0), [0.3, x]),
+    "discord_profile phi": lambda x: discord_profile(np.array([I4, quasi(0.7, 1.0)]), [0.3], x),
+    "discord_profile_ranges": lambda x: discord_profile_ranges(quasi(0.7, 1.0), [x]),
+    "quasi_probabilities": lambda x: quasi_probabilities(0.5, cat_params(1.0), np.array([0.3, x])),
+    "discord_quasi_closed": lambda x: discord_quasi_closed(0.5, cat_params(1.0), x),
+    "zurek_discord": lambda x: zurek_discord(0.5, np.array([[0.3], [x]])),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", NON_FINITE_ANGLE_CALLS.values(), ids=NON_FINITE_ANGLE_CALLS.keys())
+def test_non_finite_measurement_angle_is_rejected(call, bad):
+    # a NaN branch probability fails P_j >= DEGENERATE_PROB and would count as
+    # degenerate, giving a finite, negative discord; sin(inf) is a domain error
+    with pytest.raises(ValueError, match=f"^measurement angle must be finite, got {bad!r}$"):
+        call(bad)
 
 
 def test_zurek_rejects_out_of_range():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -11,7 +12,7 @@ from ecswerner.catstates import ALPHA2_MIN, StateFamily, cat_params, concurrence
 from ecswerner.discord import werner_discord_closed, zurek_density
 from ecswerner.entanglement import _closed_concurrence, concurrence_closed, concurrence_mixed, eof, spin_flip
 from ecswerner.qmatrix import density_from_vector, xlogx
-from ecswerner.werner import WernerSpec, werner_density, wootters_lambdas_closed
+from ecswerner.werner import WernerSpec, werner_density, werner_stack, wootters_lambdas_closed
 
 A_GRID = np.linspace(0.0, 1.0, 11)
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -103,6 +104,32 @@ def test_concurrence_validates_the_state_once():
         assert (check.call_count, stack_check.call_count) == (1, 1)
     # the product spectrum of a validated state is not checked again
     assert hermitian.call_count == 0
+
+
+def entangled_stack():
+    """Every family at 3 mean photon numbers x 11 mixing weights, then 11 einselection states."""
+    stacks = [werner_stack(family, A_GRID, cat_params(mp)) for family in StateFamily for mp in (0.01, 0.5, 5.0)]
+    return np.concatenate(stacks + [zurek_density(A_GRID)])
+
+
+# sha256 of the repr of (concurrence, eof, lambdas as a tuple of floats) of
+# each concurrence_mixed result of entangled_stack(), pinned bit for bit
+CONCURRENCE_SHA256 = "e268aa3a1c88478cbeae93bfac53bee345dd11d550536a6e3b8caac6dba3f406"
+
+
+def test_concurrence_fields_are_pinned():
+    fields = [(res.concurrence, res.eof, tuple(map(float, res.lambdas))) for res in concurrence_mixed(entangled_stack())]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == CONCURRENCE_SHA256
+
+
+def test_results_compare_and_hash():
+    rho = werner_density(wspec(StateFamily.PSI_PLUS, 0.7, 0.5))
+    one, stacked = concurrence_mixed(rho), concurrence_mixed(np.array([rho, zurek_density(0.3), rho]))
+    assert one == concurrence_mixed(rho) and hash(one) == hash(concurrence_mixed(rho))
+    assert stacked == concurrence_mixed(np.array([rho, zurek_density(0.3), rho]))
+    assert stacked[0] == stacked[2] == one != stacked[1]
+    assert len({one, *stacked}) == 2
+    assert all(type(res.lambdas) is tuple and len(res.lambdas) == 4 for res in stacked)
 
 
 def test_werner_concurrence_vanishes_at_threshold():

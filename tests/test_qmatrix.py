@@ -116,6 +116,24 @@ def test_state_vector_must_be_normalized(fn):
         fn(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("fn", [density_from_vector, concurrence_pure])
+def test_nan_state_vector_fails_the_unit_norm_gate(fn):
+    with pytest.raises(ValueError, match=r"^state vector must be normalized, got \|v\| = nan$"):
+        fn(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda m: partial_trace(m, "X"), eigvals_hermitian, von_neumann_entropy, lambda m: eigvals_general_product(m, m),
+], ids=["partial_trace", "eigvals_hermitian", "von_neumann_entropy", "eigvals_general_product"])
+@pytest.mark.parametrize("entries", [(slice(None), slice(None)), (1, 2), (3, 3)], ids=["all", "off-diagonal", "diagonal"])
+def test_nan_matrix_fails_the_hermiticity_gate(fn, entries):
+    # a NaN defect fails the gate rather than passing every comparison into the eigensolver
+    rho = I4 / 4.0
+    rho[entries] = np.nan
+    with pytest.raises(ValueError, match=r"^(rho|matrix|a) is not Hermitian \(max \|M - M\^dag\| = nan\)$"):
+        fn(rho)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_density_matrix_rejects_non_finite_entry(bad):
     rho = np.eye(4, dtype=complex) / 4.0
