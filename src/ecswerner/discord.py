@@ -22,7 +22,6 @@ from .qmatrix import (
     _entropy,
     _finite,
     _partial_trace,
-    _results,
     _scalar_or_array,
     _unit_interval,
     _xlogx,
@@ -80,8 +79,7 @@ class MeasurementBasis:
     phi: float = 0.0
 
     def __post_init__(self):
-        _finite(self.theta, "measurement angle")
-        _finite(self.phi, "measurement angle")
+        _finite((self.theta, self.phi), "measurement angle")
 
     def projector_vectors(self):
         return tuple(_projectors(self.theta, self.phi))
@@ -229,6 +227,11 @@ def _discord(parts, cond):
     return parts[:, 1:] - (parts[:, :1] - cond)
 
 
+def _results(cls, *fields):
+    """A cls per state from its fields as arrays of S entries, in field order; the last, of shape (S, n), as a tuple."""
+    return [cls(*row[:-1], tuple(row[-1])) for row in zip(*(np.asarray(f).tolist() for f in fields))]
+
+
 def _at(rhos, parts, thetas, phis):
     """The DiscordResult fields, as arrays in field order, of each state s at its own angle thetas[s] (phis broadcasts to (S,))."""
     _, probs, cond = _measure(rhos, thetas[:, None], phis)
@@ -270,9 +273,8 @@ def discord_profile_ranges(rho, thetas, phi=0.0):
     range.
     """
     rhos, _ = _density_states(rho)
-    thetas = _finite(np.reshape(thetas, -1), "measurement angle")
     _finite(phi, "measurement angle")
-    parts = _discord_parts(rhos)
+    parts, thetas = _discord_parts(rhos), _finite(np.reshape(thetas, -1), "measurement angle")
     return lambda lo, hi: _sliced_discord(rhos[lo:hi], parts[lo:hi], thetas, phi)
 
 

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discord import _results
 from .qmatrix import (
     SIGMA_Y,
     _density_states,
     _product_spectrum,
-    _results,
     _unit_interval,
     binary_entropy,
     tensor,

@@ -72,7 +72,7 @@ def _raise_first(checks, stacked):
 
 
 def _hermiticity_check(m, name):
-    """The Hermiticity check (max |M - M^dag| within HERMITICITY_TOL) of each matrix of a stack."""
+    """The Hermiticity check (max |M - M^dag| within HERMITICITY_TOL, which a NaN fails) of each matrix of a stack."""
     defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
     return ~(defect <= HERMITICITY_TOL), lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})"
 
@@ -80,7 +80,7 @@ def _hermiticity_check(m, name):
 def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
     """The Hermiticity, dimension and unit-trace checks of each matrix of a stack, for _raise_first.
 
-    The dimension check, when dim is given, fails every matrix with the text wrong_dim.
+    The dimension check, when dim is given, fails every matrix with the text wrong_dim; a NaN fails the other two.
     """
     tr = m.trace(axis1=-2, axis2=-1).real
     checks = [_hermiticity_check(m, name)]
@@ -170,7 +170,7 @@ def _density_states(rho):
 
 
 def _unit_vector(v):
-    """v as a flat complex vector, raising ValueError unless its norm is 1 within 1e-12."""
+    """v as a flat complex vector, raising ValueError unless its norm is 1 within 1e-12 (a NaN norm is not)."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= 1e-12:
@@ -328,11 +328,6 @@ def _log2(x):
 def _scalar_or_array(x):
     """A 0-d result as a Python float, any other as the array."""
     return float(x) if x.ndim == 0 else x
-
-
-def _results(cls, *fields):
-    """A cls per state from its fields as arrays of S entries, in field order; the last, of shape (S, n), as a tuple."""
-    return [cls(*row[:-1], tuple(row[-1])) for row in zip(*(np.asarray(f).tolist() for f in fields))]
 
 
 def von_neumann_entropy(rho):
