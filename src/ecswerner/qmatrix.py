@@ -73,7 +73,8 @@ def _raise_first(checks, stacked):
 
 def _hermiticity_check(m, name):
     """The Hermiticity check (max |M - M^dag| within HERMITICITY_TOL, which a NaN fails) of each matrix of a stack."""
-    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # an infinite diagonal entry gives inf - inf: a NaN defect, which fails
+        defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
     return ~(defect <= HERMITICITY_TOL), lambda k: f"{name} is not Hermitian (max |M - M^dag| = {defect[k]:.3e})"
 
 
@@ -82,7 +83,8 @@ def _hermitian_unit_trace_checks(m, name, dim=None, wrong_dim=None):
 
     The dimension check, when dim is given, fails every matrix with the text wrong_dim; a NaN fails the other two.
     """
-    tr = m.trace(axis1=-2, axis2=-1).real
+    with np.errstate(invalid="ignore"):  # +inf and -inf on the diagonal give a NaN trace, which fails
+        tr = m.trace(axis1=-2, axis2=-1).real
     checks = [_hermiticity_check(m, name)]
     if dim is not None and m.shape[-1] != dim:
         checks.append((np.ones(len(m), dtype=bool), lambda k: wrong_dim))

@@ -9,41 +9,32 @@ fixed, so the evidence stays visible in every report.
 
 Each check builds its states as one stack and makes one stacked pipeline
 call on it (one per phase in the basis-independence check), and takes its
-closed side from the array closed forms over the whole grid.  Only the
-zero-crossing bisection goes one state at a time: each step needs the last.
+closed side from the array closed forms over the whole grid.  A grid or
+result that several checks read is made once per run_verification() call
+(_once).  The zero-crossing bisection takes BISECTION_LEVELS steps per call.
 """
 
+import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catstates import StateFamily, cat_params, ecs_concurrence
-from .discord import (
-    discord_profile,
-    discord_quasi_closed,
-    werner_discord_closed,
-    zurek_density,
-    zurek_discord,
-)
+from .discord import discord_profile, discord_quasi_closed, werner_discord_closed, zurek_density, zurek_discord
 from .entanglement import _closed_concurrence, concurrence_mixed
 from .qmatrix import eigvals_hermitian, partial_trace
-from .werner import (
-    WernerSpec,
-    _closed_lambdas,
-    _closed_spectra,
-    _plus_family_elements,
-    werner_density,
-    werner_stack,
-)
+from .werner import _closed_lambdas, _closed_spectra, _plus_family_elements, werner_stack
 
 A_GRID = tuple(np.linspace(0.0, 1.0, 11))
 MEAN_PHOTON_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 THETA_GRID_19 = tuple(np.linspace(0.0, math.pi, 19))
 ZERO_CROSSING_TOL = 1e-9
+BISECTION_LEVELS = 4  # per stacked call, of 2**L - 1 states: 3 to 5 were the fastest of 1 to 7 in-process
 
 PLUS_FAMILIES = (StateFamily.PSI_PLUS, StateFamily.PHI_PLUS)
 MINUS_FAMILIES = (StateFamily.PSI_MINUS, StateFamily.PHI_MINUS)
+_MEMO = contextvars.ContextVar("verify_memo", default=None)  # the run_verification() call's memo (_once)
 
 
 @dataclass(frozen=True)
@@ -72,10 +63,24 @@ def _worst(deviations):
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
+def _once(key, make):
+    """make(), made once per key within a run_verification() call, and on every call outside one; never written to."""
+    memo = _MEMO.get()
+    if memo is not None and key not in memo:
+        memo[key] = make()
+    return make() if memo is None else memo[key]
+
+
 def _werner_grid(families=StateFamily, mean_photons=MEAN_PHOTON_GRID, a_grid=A_GRID):
     """The (family, cat parameters) pairs, by family and |alpha|^2, and their werner_stacks over a_grid in one array."""
     params = [(family, cat_params(mp)) for family in families for mp in mean_photons]
-    return params, np.concatenate([werner_stack(family, a_grid, p) for family, p in params])
+    stack = _once((tuple(params), tuple(a_grid)), lambda: np.concatenate([werner_stack(f, a_grid, p) for f, p in params]))
+    return params, stack
+
+
+def _of_grid(fn, families=StateFamily, *args):
+    """fn(the _werner_grid(families) stack, *args), made once per run (_once)."""
+    return _once((fn, tuple(families), *args), lambda: fn(_werner_grid(families)[1], *args))
 
 
 def _closed(form, params):
@@ -84,9 +89,8 @@ def _closed(form, params):
 
 
 def check_joint_spectrum():
-    params, rhos = _werner_grid()
-    closed = _closed(lambda *key: _closed_spectra(*key).joint, params)
-    return Check("joint-spectrum closed vs numeric", _max_dev(closed, eigvals_hermitian(rhos)), 1e-10)
+    closed = _closed(lambda *key: _closed_spectra(*key).joint, _werner_grid()[0])
+    return Check("joint-spectrum closed vs numeric", _max_dev(closed, _of_grid(eigvals_hermitian)), 1e-10)
 
 
 def check_reduced_spectrum():
@@ -97,15 +101,14 @@ def check_reduced_spectrum():
 
 
 def check_lambdas():
-    params, rhos = _werner_grid()
-    dev = _max_dev(_closed(_closed_lambdas, params), [res.lambdas for res in concurrence_mixed(rhos)])
+    dev = _max_dev(_closed(_closed_lambdas, _werner_grid()[0]), [res.lambdas for res in _of_grid(concurrence_mixed)])
     return Check("spin-flip lambdas closed vs numeric", dev, 1e-9)
 
 
 def check_quasi_discord():
-    params, rhos = _werner_grid(PLUS_FAMILIES)
+    params = _werner_grid(PLUS_FAMILIES)[0]
     closed = np.concatenate([discord_quasi_closed(np.array(A_GRID)[:, None], p, THETA_GRID_19) for _, p in params])
-    dev = _max_dev(closed, discord_profile(rhos, THETA_GRID_19))
+    dev = _max_dev(closed, _of_grid(discord_profile, PLUS_FAMILIES, THETA_GRID_19))
     return Check("quasi-Werner discord closed vs pipeline", dev, 1e-9)
 
 
@@ -135,8 +138,7 @@ def check_zurek():
 
 
 def check_concurrence():
-    params, rhos = _werner_grid()
-    dev = _max_dev(_closed(_closed_concurrence, params), [res.concurrence for res in concurrence_mixed(rhos)])
+    dev = _max_dev(_closed(_closed_concurrence, _werner_grid()[0]), [res.concurrence for res in _of_grid(concurrence_mixed)])
     return Check("concurrence closed vs numeric", dev, 1e-9)
 
 
@@ -149,15 +151,21 @@ def check_werner_threshold():
 
 
 def concurrence_zero_crossing(mean_photon):
-    """Bisect the mixing parameter where the psi+ concurrence turns on."""
+    """Bisect the mixing parameter where the psi+ concurrence turns on, BISECTION_LEVELS steps per stacked call."""
     p = cat_params(mean_photon)
     lo, hi = 0.0, 1.0
     while hi - lo > ZERO_CROSSING_TOL:
-        mid = (lo + hi) / 2.0
-        if concurrence_mixed(werner_density(WernerSpec(StateFamily.PSI_PLUS, mid, p))).concurrence > 0.0:
-            hi = mid
-        else:
-            lo = mid
+        nodes = [(lo, hi)]  # the bisection tree in heap order: node k's halves are 2k + 1 (lower) and 2k + 2
+        for k in range(1, 2**BISECTION_LEVELS - 1):
+            a, b = nodes[(k - 1) // 2]
+            nodes.append((a, (a + b) / 2.0) if k % 2 else ((a + b) / 2.0, b))
+        mids = [(a + b) / 2.0 for a, b in nodes]
+        results, k = concurrence_mixed(werner_stack(StateFamily.PSI_PLUS, np.array(mids), p)), 0
+        while k < len(mids) and hi - lo > ZERO_CROSSING_TOL:
+            if results[k].concurrence > 0.0:
+                hi, k = mids[k], 2 * k + 1
+            else:
+                lo, k = mids[k], 2 * k + 2
     return (lo + hi) / 2.0
 
 
@@ -175,13 +183,15 @@ def check_large_alpha_collapse():
 
 
 def check_psd():
-    worst = _worst([0.0, -float(eigvals_hermitian(_werner_grid()[1])[:, -1].min())])
+    worst = _worst([0.0, -float(_of_grid(eigvals_hermitian)[:, -1].min())])
     return Check("Werner density PSD (min eigenvalue)", worst, 1e-12)
 
 
 def check_nonnegativity():
-    values = discord_profile(_werner_grid()[1], THETA_GRID_19[::3])
-    return Check("discord non-negativity", _worst([0.0, -float(values.min())]), 1e-9)
+    # each value depends only on its own state and angle: the psi+/phi+ values are columns of their profile
+    plus = _of_grid(discord_profile, PLUS_FAMILIES, THETA_GRID_19)[:, ::3]
+    minus = discord_profile(_werner_grid(MINUS_FAMILIES)[1], THETA_GRID_19[::3])
+    return Check("discord non-negativity", _worst([0.0, -float(plus.min()), -float(minus.min())]), 1e-9)
 
 
 def convention_notes():
@@ -195,8 +205,10 @@ def convention_notes():
     )
 
     # geometric-mean vs reciprocal bracket in the spin-flip lambda pair
-    params, rhos = _werner_grid((StateFamily.PSI_PLUS,))
-    numeric = [res.lambdas for res in concurrence_mixed(rhos)]
+    grid = _werner_grid()[0]
+    params = [(family, p) for family, p in grid if family is StateFamily.PSI_PLUS]
+    families = [family for family, _ in grid for _ in A_GRID]  # of each state of the grid
+    numeric = [res.lambdas for res, f in zip(_of_grid(concurrence_mixed), families) if f is StateFamily.PSI_PLUS]
     d1, d4, r = np.concatenate([_plus_family_elements(np.array(A_GRID), p) for _, p in params], axis=1)
     b = (1.0 - np.tile(A_GRID, len(params))) / 4.0
     root = np.sqrt(d1 * d4)
@@ -229,5 +241,9 @@ ALL_CHECKS = (
 
 
 def run_verification():
-    """Run every check; returns (checks, notes)."""
-    return [fn() for fn in ALL_CHECKS], convention_notes()
+    """Run every check, with one memo for this call (_once); returns (checks, notes)."""
+    token = _MEMO.set({})
+    try:
+        return [fn() for fn in ALL_CHECKS], convention_notes()
+    finally:
+        _MEMO.reset(token)

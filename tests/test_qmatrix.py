@@ -142,6 +142,28 @@ def test_density_matrix_rejects_non_finite_entry(bad):
         require_density_matrix(rho)
 
 
+@pytest.mark.parametrize("diagonal", [{1: np.inf}, {1: np.inf, 2: -np.inf}], ids=["inf", "inf_and_minus_inf"])
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (require_density_matrix, "rho has a non-finite entry"),
+        (lambda m: require_density_stack(np.stack([I4 / 4.0, m])), "state 1: rho has a non-finite entry"),
+        (eigvals_hermitian, r"matrix is not Hermitian \(max \|M - M\^dag\| = nan\)"),
+        (lambda m: partial_trace(m, "Y"), r"rho is not Hermitian \(max \|M - M\^dag\| = nan\)"),
+        (von_neumann_entropy, r"rho is not Hermitian \(max \|M - M\^dag\| = nan\)"),
+    ],
+    ids=["require_density_matrix", "require_density_stack", "eigvals_hermitian", "partial_trace", "von_neumann_entropy"],
+)
+def test_infinite_diagonal_raises_the_value_error(diagonal, check, message):
+    # inf - inf in M - M^dag, and +inf + -inf in the trace, are NaN: the
+    # check fails with its message, not with the suite's RuntimeWarning
+    rho = np.eye(4, dtype=complex) / 4.0
+    for k, value in diagonal.items():
+        rho[k, k] = value
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        check(rho)
+
+
 def test_density_matrix_rejects_nan_matrix():
     # NaN passes every comparison-based check; without the finiteness check
     # eigvalsh raises LinAlgError instead

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -20,10 +21,17 @@ from ecswerner.qmatrix import eigvals_hermitian, partial_trace
 
 
 def nan_like(real):
-    """A stand-in for real that returns its result with every value NaN."""
+    """A stand-in for real that returns its result with every value NaN, a list of result objects field by field."""
+
+    def nan(value):
+        if isinstance(value, list):
+            return [nan(v) for v in value]
+        if dataclasses.is_dataclass(value):
+            return dataclasses.replace(value, **{f.name: nan(getattr(value, f.name)) for f in dataclasses.fields(value)})
+        return np.full(np.shape(value), math.nan)
 
     def fn(*args, **kwargs):
-        return np.full(np.shape(real(*args, **kwargs)), math.nan)
+        return nan(real(*args, **kwargs))
 
     return fn
 
@@ -85,9 +93,13 @@ def test_worst_matches_max_without_nan():
 
 def test_verify_makes_one_stacked_pipeline_call_per_check(monkeypatch):
     # one discord_profile call per check and one per phase of the
-    # basis-independence check: 8 in all; the closed side takes whole
-    # arrays, never one WernerSpec at a time
+    # basis-independence check: 8 in all, the non-negativity check taking
+    # its psi+/phi+ values from the quasi-discord check's profile; the
+    # closed side takes whole arrays, never one WernerSpec at a time; the
+    # 264-state grid goes through concurrence_mixed and eigvals_hermitian
+    # once per run, each result serving every check that reads it
     calls = Counter()
+    grid = verify._werner_grid()[1].shape
 
     def count(module, name):
         real = getattr(module, name)
@@ -98,7 +110,19 @@ def test_verify_makes_one_stacked_pipeline_call_per_check(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    def count_on_grid(name):
+        real = getattr(verify, name)
+
+        def counted(rho):
+            if np.shape(rho) == grid:
+                calls[name + " on the grid"] += 1
+            return real(rho)
+
+        monkeypatch.setattr(verify, name, counted)
+
     count(verify, "discord_profile")
+    count_on_grid("concurrence_mixed")
+    count_on_grid("eigvals_hermitian")
     for module, name in [
         (werner, "spectrum_closed"),
         (werner, "wootters_lambdas_closed"),
@@ -108,7 +132,36 @@ def test_verify_makes_one_stacked_pipeline_call_per_check(monkeypatch):
         if hasattr(verify, name):
             count(verify, name)
     verify.run_verification()
-    assert calls == {"discord_profile": 8}
+    assert calls == {"discord_profile": 8, "concurrence_mixed on the grid": 1, "eigvals_hermitian on the grid": 1}
+
+
+def test_no_memo_outlives_a_run(monkeypatch):
+    # a run shares its brute-force results between its checks only: the next
+    # run, and a check called on its own, compute their own
+    verify.run_verification()
+    monkeypatch.setattr(verify, "concurrence_mixed", nan_like(verify.concurrence_mixed))
+    monkeypatch.setattr(verify, "eigvals_hermitian", nan_like(verify.eigvals_hermitian))
+    assert math.isnan(verify.check_concurrence().deviation)
+    assert math.isnan(verify.check_psd().deviation)
+    checks = {check.name: check for check in verify.run_verification()[0]}
+    for name in [
+        "spin-flip lambdas closed vs numeric",
+        "concurrence closed vs numeric",
+        "joint-spectrum closed vs numeric",
+        "Werner density PSD (min eigenvalue)",
+    ]:
+        assert math.isnan(checks[name].deviation) and checks[name].line().endswith("FAIL")
+
+
+def test_no_memo_outlives_a_failed_run(monkeypatch):
+    def fails():
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_psd, fails))
+    with pytest.raises(RuntimeError, match="check failed"):
+        verify.run_verification()
+    monkeypatch.setattr(verify, "eigvals_hermitian", nan_like(verify.eigvals_hermitian))
+    assert math.isnan(verify.check_psd().deviation)
 
 
 # |alpha|^2 log-uniform in [ALPHA2_MIN, 400], and a in [0, 1], each with both ends
@@ -144,3 +197,41 @@ def test_closed_forms_match_the_pipeline_off_the_verify_grid(family, mean_photon
     assert np.max(np.abs(joint - spectra.joint)) < 1e-10
     assert joint[-1] > -1e-12
     assert np.max(np.abs(eigvals_hermitian(partial_trace(rhos, "Y"))[0] - spectra.reduced_y)) < 1e-10
+
+
+def bisect_one_state_at_a_time(mean_photon):
+    """The zero-crossing bisection, one concurrence_mixed call per step; returns the crossing and the step count."""
+    p = cat_params(mean_photon)
+    lo, hi, steps = 0.0, 1.0, 0
+    while hi - lo > verify.ZERO_CROSSING_TOL:
+        mid = (lo + hi) / 2.0
+        if concurrence_mixed(werner.werner_density(werner.WernerSpec(StateFamily.PSI_PLUS, mid, p))).concurrence > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return (lo + hi) / 2.0, steps
+
+
+@pytest.mark.parametrize("mean_photon", [ALPHA2_MIN, 1.0, 400.0])
+def test_stacked_bisection_keeps_every_bit(monkeypatch, mean_photon):
+    # BISECTION_LEVELS steps per concurrence_mixed call, with the same floats as one step per call
+    expected, steps = bisect_one_state_at_a_time(mean_photon)
+    calls = Counter()
+    real = verify.concurrence_mixed
+
+    def counted(rho):
+        calls["concurrence_mixed"] += 1
+        return real(rho)
+
+    monkeypatch.setattr(verify, "concurrence_mixed", counted)
+    assert verify.concurrence_zero_crossing(mean_photon).hex() == expected.hex()
+    assert calls["concurrence_mixed"] <= math.ceil(steps / verify.BISECTION_LEVELS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mean_photons, st.integers(1, 7))
+def test_stacked_bisection_keeps_every_bit_at_any_depth(mean_photon, levels):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "BISECTION_LEVELS", levels)
+        assert verify.concurrence_zero_crossing(mean_photon).hex() == bisect_one_state_at_a_time(mean_photon)[0].hex()
